@@ -19,6 +19,7 @@ from .decomposition import find_homogeneous_set
 from .graph import Graph, bits, mask_of
 from .limits import DEFAULT_CAPS, CapacityError, InvariantError
 from .oracles import (
+    _odd_holes,
     clique_number,
     exact_coloring,
     is_perfect,
@@ -83,24 +84,20 @@ def perfect_division(
 ) -> Division | None:
     """A division of g, None if exhaustion proves none exists.
 
-    Strategies in order: the whole graph is perfect; some vertex whose
-    non-neighbourhood induces a perfect graph (ascending index); the
-    weighted engine under unit weights; exhaustive subset scan below the
-    cap.  Raises CapacityError when all else fails above the cap.
+    Strategies in order: the whole graph is perfect; the weighted engine
+    under unit weights, which first tries each vertex whose
+    non-neighbourhood induces a perfect graph (ascending index); exhaustive
+    subset scan below the cap.  Raises CapacityError when all else fails
+    above the cap.
     """
     if g.n == 0:
         return Division(0, 0, "perfect-whole", True, 0, 0)
     if is_perfect(g):
         return _checked_division(g, g.vertex_mask, 0, "perfect-whole")
-    for v in range(g.n):
-        m = g.non_neighborhood(v)
-        if is_perfect_induced(g, m):
-            return _checked_division(
-                g, m | 1 << v, g.adj[v], "perfect-non-neighborhood", pivot=v
-            )
-    d = divide_weighted(g, (1,) * g.n)
-    if d is not None:
-        return _checked_division(g, d.a, d.b, d.strategy, pivot=d.pivot)
+    res = _divide_support(g, g.vertex_mask, (1,) * g.n)
+    if res is not None:
+        a, b, strategy, pivot = res
+        return _checked_division(g, a, b, strategy, pivot=pivot)
     if g.n > exhaustive_cap:
         raise CapacityError("perfect_division (exhaustive fallback)", g.n, exhaustive_cap)
     omega = clique_number(g)
@@ -206,10 +203,40 @@ def _divide_with_module(g, u_mask, w, x):
     return s, t, "homogeneous-recursion", None
 
 
+def _imperfect_table(g: Graph) -> bytes:
+    """Byte m is 1 exactly when G[m] is not perfect, for every submask m.
+
+    A vertex set is imperfect exactly when it contains an odd hole or an odd
+    antihole (Strong Perfect Graph Theorem), so mark the odd holes of G and
+    of its complement and lift every mark onto all supersets, one vertex v
+    at a time.  The 0/1 bytes are read as one little-endian integer, so
+    lifting along v is a single shift by 2**v bytes; or-ing 0/1 bytes never
+    carries.
+    """
+    size = 1 << g.n
+    full = g.vertex_mask
+    marks = bytearray(size)
+    co_rows = [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
+    for rows in (g.adj, co_rows):
+        for hole in _odd_holes(rows, full):
+            marks[hole] = 1
+    x = int.from_bytes(marks, "little")
+    for v in range(g.n):
+        step = 1 << v
+        without_v = (b"\x01" * step + b"\x00" * step) * (size // (2 * step))
+        x |= (x & int.from_bytes(without_v, "little")) << (8 * step)
+    return x.to_bytes(size, "little")
+
+
 def is_perfectly_divisible_exact(
     g: Graph, cap: int = DEFAULT_CAPS.exact_divisibility
 ) -> bool:
-    """Whether every induced subgraph admits a division; exhaustive."""
+    """Whether every induced subgraph admits a division; exhaustive.
+
+    Perfection of all 2**n submasks comes from one odd-hole table; each
+    imperfect h then needs one scan of its submasks a for a perfect a with
+    omega(h - a) < omega(h).
+    """
     n = g.n
     if n > cap:
         raise CapacityError("is_perfectly_divisible_exact", n, cap)
@@ -221,30 +248,17 @@ def is_perfectly_divisible_exact(
         v = (m & -m).bit_length() - 1
         rest = m ^ 1 << v
         omega[m] = max(omega[rest], 1 + omega[rest & adj[v]])
+    imperfect = _imperfect_table(g)
 
-    perfect_memo: dict[int, bool] = {}
-
-    def perfect(mask):
-        hit = perfect_memo.get(mask)
-        if hit is None:
-            hit = perfect_memo[mask] = is_perfect_induced(g, mask)
-        return hit
-
-    for h in range((1 << n) - 1, 0, -1):
-        if perfect(h):
+    for h in range(g.vertex_mask, 0, -1):
+        if not imperfect[h]:
             continue
         om_h = omega[h]
-        subsets = [h]
-        s = (h - 1) & h
-        while s:
-            subsets.append(s)
-            s = (s - 1) & h
-        subsets.append(0)
-        subsets.sort(key=lambda m: -m.bit_count())
-        if not any(
-            omega[h & ~a] < om_h and perfect(a) for a in subsets
-        ):
-            return False
+        a = h
+        while imperfect[a] or omega[h & ~a] >= om_h:
+            if not a:
+                return False
+            a = (a - 1) & h
     return True
 
 

@@ -24,7 +24,7 @@ from .oracles import (
     clique_number,
     find_odd_hole,
     independence_number,
-    is_perfect,
+    is_perfect_induced,
 )
 from .patterns import CLASS_BOUNDS, find_induced, pattern
 
@@ -103,22 +103,6 @@ def _pd_exact(g: Graph) -> bool:
     return is_perfectly_divisible_exact(g)
 
 
-@lru_cache(maxsize=None)
-def _perfect_mask(g: Graph, mask: int) -> bool:
-    sub, _ = g.induced(mask)
-    return is_perfect(sub)
-
-
-@lru_cache(maxsize=None)
-def _omega(g: Graph) -> int:
-    return clique_number(g)
-
-
-@lru_cache(maxsize=None)
-def _chi(g: Graph) -> int:
-    return chromatic_number(g)
-
-
 def _claw_centers(g: Graph) -> list[int]:
     out = []
     for v in range(g.n):
@@ -179,7 +163,7 @@ def _t3(g: Graph) -> Outcome:
     if not centers:
         return Outcome(False)
     for v in centers:
-        if not _perfect_mask(g, g.non_neighborhood(v)):
+        if not is_perfect_induced(g, g.non_neighborhood(v)):
             return Outcome(
                 True,
                 failure={"claw_center": v, "m_v": sorted(bits(g.non_neighborhood(v)))},
@@ -193,7 +177,7 @@ def _t4(g: Graph) -> Outcome:
     if _homogeneous(g) is not None:
         return Outcome(True)
     for v in range(g.n):
-        if not _perfect_mask(g, g.non_neighborhood(v)):
+        if not is_perfect_induced(g, g.non_neighborhood(v)):
             return Outcome(
                 True,
                 failure={"vertex": v, "m_v": sorted(bits(g.non_neighborhood(v)))},
@@ -218,7 +202,7 @@ def _t6(g: Graph) -> Outcome:
         return Outcome(False)
     if _homogeneous(g) is not None:
         return Outcome(True)
-    if any(_perfect_mask(g, g.non_neighborhood(v)) for v in range(g.n)):
+    if any(is_perfect_induced(g, g.non_neighborhood(v)) for v in range(g.n)):
         return Outcome(True)
     return Outcome(True, failure={"no_vertex_with_perfect_non_neighborhood": True})
 
@@ -229,7 +213,7 @@ def _t7(g: Graph) -> Outcome:
     if _free(g, "claw") or _homogeneous(g) is not None:
         return Outcome(True)
     for u in range(g.n):
-        if not _perfect_mask(g, g.non_neighborhood(u)):
+        if not is_perfect_induced(g, g.non_neighborhood(u)):
             return Outcome(
                 True,
                 failure={"vertex": u, "m_v": sorted(bits(g.non_neighborhood(u)))},
@@ -263,7 +247,7 @@ def _t9(g: Graph) -> Outcome:
         return Outcome(False)
     lg, _, d = line_graph_division(g)
     # the constructor re-checks with oracles; re-derive the key facts anyway
-    if not _perfect_mask(lg, d.a):
+    if not is_perfect_induced(lg, d.a):
         return Outcome(True, failure={"side": "a", "a": sorted(bits(d.a))})
     sub_b, _ = lg.induced(d.b)
     if lg.n and clique_number(sub_b) >= clique_number(lg):
@@ -282,8 +266,8 @@ def _t10(g: Graph) -> Outcome:
 
 
 def _chi_audit(g: Graph) -> Outcome:
-    om = _omega(g)
-    chi = _chi(g)
+    om = clique_number(g)
+    chi = chromatic_number(g)
     fork_free = _free(g, "fork")
     violations = []
     for forbidden, bound in CLASS_BOUNDS.items():
@@ -291,9 +275,7 @@ def _chi_audit(g: Graph) -> Outcome:
             limit = bound.evaluate(om)
             if chi > limit:
                 violations.append({"class": forbidden, "bound": limit})
-    if not _free(g, "claw"):
-        pass
-    elif chi > om * om:
+    if _free(g, "claw") and chi > om * om:
         violations.append({"class": "claw-free alone", "bound": om * om})
     cert = color_by_division(g)
     for u, v in g.edges():

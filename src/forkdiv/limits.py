@@ -16,7 +16,6 @@ class Caps:
     canonical: int = 10
     coloring: int = 16
     odd_hole: int = 16
-    subset_hole: int = 10
     exhaustive_division: int = 12
     exact_divisibility: int = 9
     enumeration: int = 8

@@ -8,8 +8,6 @@ deterministic: ties break toward the lexicographically smallest vertex set.
 
 from __future__ import annotations
 
-import itertools
-
 from .graph import Graph, bits
 from .limits import DEFAULT_CAPS, CapacityError
 
@@ -221,64 +219,39 @@ def chromatic_number(g: Graph, cap: int = DEFAULT_CAPS.coloring) -> int:
 # -- odd holes and perfection ------------------------------------------
 
 
-def find_odd_hole(g: Graph, cap: int = DEFAULT_CAPS.odd_hole) -> int | None:
-    """Vertex bitmask of an induced odd cycle of length >= 5, or None.
+def _odd_holes(rows, mask):
+    """Yield the vertex mask of every induced odd cycle of length >= 5 in the
+    graph that adjacency rows induce on mask (each cycle once per direction).
 
-    Grows induced paths anchored at their smallest vertex; a path can only
-    close through a candidate adjacent to both ends and nothing in between.
+    Grows induced paths anchored at their smallest vertex, candidates in
+    ascending order; a path can only close through a candidate adjacent to
+    both ends and nothing in between.
     """
-    n = g.n
-    if n > cap:
-        raise CapacityError("find_odd_hole", n, cap)
-    if n < 5:
-        return None
-    adj = g.adj
-    full = g.vertex_mask
 
-    for start in range(n - 4):
-        above = full >> (start + 1) << (start + 1)
+    def extend(low, above, last, used, blocked, length):
+        # blocked: vertices adjacent to an interior vertex of the path
+        row = rows[last]
+        grown = blocked | row
+        for v in bits(row & above & ~used & ~blocked):
+            if rows[v] & low:
+                if length >= 4 and not length & 1:
+                    yield used | 1 << v
+            else:
+                yield from extend(low, above, v, used | 1 << v, grown, length + 1)
 
-        def dfs(path, used, blocked):
-            # blocked: vertices adjacent to an interior vertex of the path
-            last = path[-1]
-            cand = adj[last] & above & ~used & ~blocked
-            grown = blocked | adj[last]
-            for v in bits(cand):
-                if adj[v] >> start & 1:
-                    cycle_len = len(path) + 1
-                    if cycle_len >= 5 and cycle_len % 2 == 1:
-                        return used | 1 << v
-                else:
-                    hit = dfs(path + [v], used | 1 << v, grown)
-                    if hit:
-                        return hit
-            return None
-
-        found = None
-        for first in bits(adj[start] & above):
-            found = dfs([start, first], 1 << start | 1 << first, 0)
-            if found:
-                break
-        if found:
-            return found
-    return None
+    above = mask
+    while above.bit_count() >= 5:
+        low = above & -above
+        above ^= low
+        for first in bits(rows[low.bit_length() - 1] & above):
+            yield from extend(low, above, first, low | 1 << first, 0, 2)
 
 
-def find_odd_hole_subsets(g: Graph, cap: int = DEFAULT_CAPS.subset_hole) -> int | None:
-    """Independent re-derivation of find_odd_hole by subset enumeration."""
-    n = g.n
-    if n > cap:
-        raise CapacityError("find_odd_hole_subsets", n, cap)
-    for size in range(5, n + 1, 2):
-        for combo in itertools.combinations(range(n), size):
-            m = 0
-            for v in combo:
-                m |= 1 << v
-            if all((g.adj[v] & m).bit_count() == 2 for v in combo):
-                sub, _ = g.induced(m)
-                if sub.is_connected():
-                    return m
-    return None
+def find_odd_hole(g: Graph, cap: int = DEFAULT_CAPS.odd_hole) -> int | None:
+    """Vertex bitmask of an induced odd cycle of length >= 5, or None."""
+    if g.n > cap:
+        raise CapacityError("find_odd_hole", g.n, cap)
+    return next(_odd_holes(g.adj, g.vertex_mask), None)
 
 
 def find_odd_antihole(g: Graph, cap: int = DEFAULT_CAPS.odd_hole) -> int | None:
@@ -287,9 +260,16 @@ def find_odd_antihole(g: Graph, cap: int = DEFAULT_CAPS.odd_hole) -> int | None:
 
 def is_perfect(g: Graph, cap: int = DEFAULT_CAPS.odd_hole) -> bool:
     """No odd hole and no odd antihole."""
-    return find_odd_hole(g, cap) is None and find_odd_antihole(g, cap) is None
+    return is_perfect_induced(g, g.vertex_mask, cap)
 
 
 def is_perfect_induced(g: Graph, mask: int, cap: int = DEFAULT_CAPS.odd_hole) -> bool:
-    sub, _ = g.induced(mask)
-    return is_perfect(sub, cap)
+    """Whether G[mask] has no odd hole and no odd antihole."""
+    if mask & ~g.vertex_mask:
+        raise IndexError("subset mask has bits outside the vertex range")
+    if mask.bit_count() > cap:
+        raise CapacityError("find_odd_hole", mask.bit_count(), cap)
+    if next(_odd_holes(g.adj, mask), None) is not None:
+        return False
+    co_rows = [mask & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
+    return next(_odd_holes(co_rows, mask), None) is None

@@ -8,6 +8,7 @@ route to each answer.
 from itertools import combinations, permutations
 
 from forkdiv.graph import Graph, bits, mask_of
+from forkdiv.limits import CapacityError
 
 
 def omega(g: Graph) -> int:
@@ -105,6 +106,20 @@ def odd_holes(g: Graph) -> list[tuple[int, ...]]:
             if sub_g.is_connected():
                 out.append(sub)
     return out
+
+
+def find_odd_hole_subsets(g: Graph, cap: int = 10) -> int | None:
+    """First odd hole in (size, lexicographic) order of vertex subsets."""
+    if g.n > cap:
+        raise CapacityError("find_odd_hole_subsets", g.n, cap)
+    for size in range(5, g.n + 1, 2):
+        for combo in combinations(range(g.n), size):
+            m = mask_of(combo)
+            if all((g.adj[v] & m).bit_count() == 2 for v in combo):
+                sub, _ = g.induced(m)
+                if sub.is_connected():
+                    return m
+    return None
 
 
 def canonical(g: Graph) -> tuple:

@@ -18,7 +18,6 @@ from forkdiv.oracles import (
     chromatic_number,
     clique_number,
     find_odd_hole,
-    find_odd_hole_subsets,
     independence_number,
     is_perfect,
 )
@@ -132,7 +131,7 @@ def test_criterion_6_oracle_consistency(corpus, capsys):
         if is_perfect(g) != bruteforce.is_perfect(g):
             disagreements += 1
         fast = find_odd_hole(g)
-        slow = find_odd_hole_subsets(g)
+        slow = bruteforce.find_odd_hole_subsets(g)
         brute = bruteforce.odd_holes(g)
         if (fast is None) != (not brute) or (slow is None) != (not brute):
             disagreements += 1

@@ -1,10 +1,13 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import forkdiv
 from forkdiv.cli import main
 from forkdiv.formats import emit_graph6
 from forkdiv.graph import Graph
@@ -243,11 +246,18 @@ def test_format_inference_and_override(tmp_path, capsys):
 
 
 def test_console_script_entry_point():
+    # the installed `forkdiv` script and `python -m forkdiv` both call cli.main
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert 'forkdiv = "forkdiv.cli:main"' in scripts.splitlines()
+    src = str(Path(forkdiv.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        ["forkdiv", "oracle", "chi", "-"],
+        [sys.executable, "-m", "forkdiv", "oracle", "chi", "-"],
         input=C5 + "\n",
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"][0]["chi"] == 3

@@ -6,6 +6,7 @@ import bruteforce
 from forkdiv import formats
 from forkdiv.divisibility import (
     _divide_with_module,
+    _imperfect_table,
     color_by_division,
     divide_weighted,
     is_perfectly_divisible_exact,
@@ -44,6 +45,16 @@ def test_division_of_odd_cycle():
     assert d.strategy == "perfect-non-neighborhood"
     assert d.pivot == 0
     _revalidate(Graph.cycle(5), d)
+
+
+def test_division_through_homogeneous_set():
+    # no vertex of C5 + C5 has a perfect non-neighbourhood
+    g = Graph.cycle(5).disjoint_union(Graph.cycle(5))
+    d = perfect_division(g)
+    assert d.strategy == "homogeneous-recursion"
+    assert d.pivot is None and d.omega_w is None
+    assert sorted(bits(d.a)) == [0, 2, 3, 5, 7, 8]
+    _revalidate(g, d)
 
 
 def test_division_of_perfect_graphs_is_whole():
@@ -150,6 +161,32 @@ def test_exact_divisibility_golden_cases():
     assert is_perfectly_divisible_exact(Graph.empty(0))
     with pytest.raises(CapacityError):
         is_perfectly_divisible_exact(Graph.empty(10))
+
+
+def test_exact_divisibility_refutes_triangle_free_chi4():
+    # no random fork-free sample has reached the False branch; pin one graph
+    assert not is_perfectly_divisible_exact(MYCIELSKI_C5, cap=11)
+    assert not bruteforce.is_perfectly_divisible(MYCIELSKI_C5)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph.cycle(7).complement(),
+        Graph.cycle(7).complement().disjoint_union(Graph.empty(1)),
+        Graph.cycle(9).complement(),
+        Graph.cycle(5).disjoint_union(Graph.path(4)).complement(),
+    ],
+    ids=["co-C7", "co-C7+K1", "co-C9", "co-(C5+P4)"],
+)
+def test_imperfect_table_sees_odd_antiholes(g):
+    assert [not x for x in _imperfect_table(g)] == bruteforce.perfect_table(g)
+
+
+@settings(max_examples=60)
+@given(graphs())
+def test_imperfect_table_matches_chi_equals_omega(g):
+    assert [not x for x in _imperfect_table(g)] == bruteforce.perfect_table(g)
 
 
 @given(graphs())

@@ -12,9 +12,9 @@ from forkdiv.oracles import (
     exact_coloring,
     find_odd_antihole,
     find_odd_hole,
-    find_odd_hole_subsets,
     independence_number,
     is_perfect,
+    is_perfect_induced,
     max_clique,
     max_weight_clique,
 )
@@ -135,7 +135,7 @@ def test_odd_hole_golden_cases():
 @given(graphs(max_n=8))
 def test_odd_hole_agrees_with_subset_enumeration(g):
     fast = find_odd_hole(g)
-    slow = find_odd_hole_subsets(g)
+    slow = bruteforce.find_odd_hole_subsets(g)
     brute = bruteforce.odd_holes(g)
     assert (fast is None) == (slow is None) == (not brute)
     if fast is not None:
@@ -156,6 +156,34 @@ def test_perfection_matches_chi_equals_omega_everywhere(g):
     assert is_perfect(g) == bruteforce.is_perfect(g)
 
 
+@settings(max_examples=60)
+@given(graphs(max_n=7))
+def test_perfection_of_every_submask_matches_chi_equals_omega(g):
+    table = bruteforce.perfect_table(g)
+    assert [is_perfect_induced(g, m) for m in range(1 << g.n)] == table
+
+
+def test_perfection_of_submask_golden_cases():
+    g = Graph.cycle(5).disjoint_union(Graph.cycle(7).complement())
+    assert is_perfect_induced(g, mask_of(range(4)))
+    assert not is_perfect_induced(g, mask_of(range(5)))
+    assert not is_perfect_induced(g, mask_of(range(5, 12)))
+    assert is_perfect_induced(g, mask_of(range(5, 11)))
+    # only the mask's size counts against the cap
+    assert is_perfect_induced(Graph.empty(20), mask_of(range(16)))
+
+
+def test_perfection_of_submask_errors():
+    with pytest.raises(IndexError):
+        is_perfect_induced(Graph.cycle(5), 1 << 5)
+    with pytest.raises(IndexError):
+        is_perfect_induced(Graph.cycle(5), -1)
+    with pytest.raises(CapacityError):
+        is_perfect_induced(Graph.empty(20), mask_of(range(17)))
+    with pytest.raises(CapacityError):
+        is_perfect_induced(Graph.cycle(7), mask_of(range(7)), cap=6)
+
+
 @given(graphs(max_n=6))
 def test_perfection_is_self_complementary(g):
     assert is_perfect(g) == is_perfect(g.complement())
@@ -168,4 +196,4 @@ def test_capacity_errors():
     with pytest.raises(CapacityError):
         find_odd_hole(Graph.empty(20))
     with pytest.raises(CapacityError):
-        find_odd_hole_subsets(Graph.empty(11))
+        bruteforce.find_odd_hole_subsets(Graph.empty(11))
