@@ -1,13 +1,14 @@
 """Graph serialisation: graph6, DIMACS edge lists, and plain edge lists.
 
-graph6 here is the header-less single-byte-size variant (n <= 62), which
-covers everything the enumeration caps allow.  Parsers validate hard and
-report byte offsets; emitters are exact inverses on the supported range.
+graph6 here is the header-less variant: one size byte for n <= 62 and the
+standard four-byte size ("~" plus 18 bits) for 63 <= n <= MAX_VERTICES,
+so every Graph has a graph6 string.  Parsers validate hard and report
+byte offsets; emitters are exact inverses on the supported range.
 """
 
 from __future__ import annotations
 
-from .graph import Graph
+from .graph import MAX_VERTICES, Graph
 
 
 class FormatError(ValueError):
@@ -26,9 +27,10 @@ def _pair_bits(g: Graph):
 
 
 def emit_graph6(g: Graph) -> str:
-    if g.n > 62:
-        raise FormatError(f"graph6 single-byte size tops out at 62 vertices, got {g.n}")
-    out = [chr(g.n + 63)]
+    if g.n <= 62:
+        out = [chr(g.n + 63)]
+    else:
+        out = ["~"] + [chr((g.n >> shift & 63) + 63) for shift in (12, 6, 0)]
     acc = 0
     count = 0
     for b in _pair_bits(g):
@@ -45,23 +47,27 @@ def emit_graph6(g: Graph) -> str:
 def parse_graph6(line: str) -> Graph:
     if not line:
         raise FormatError("empty graph6 string", 0)
-    first = ord(line[0])
-    if first == 126:
-        raise FormatError("multi-byte graph6 sizes are not supported", 0)
-    if not 63 <= first <= 125:
-        raise FormatError(f"size byte {line[0]!r} outside graph6 range", 0)
-    n = first - 63
+    head = 4 if line[0] == "~" else 1  # "~" opens the four-byte size header
+    if len(line) < head:
+        raise FormatError("truncated graph6 size header", 0)
+    n = 0
+    for ch in line[1:head] if head == 4 else line[0]:
+        if not 63 <= ord(ch) <= 126:
+            raise FormatError(f"size byte {ch!r} outside graph6 range", 0)
+        n = n << 6 | ord(ch) - 63
+    if n > MAX_VERTICES:
+        raise FormatError(f"graph6 sizes above {MAX_VERTICES} vertices are not supported", 0)
     need = (n * (n - 1) // 2 + 5) // 6
-    body = line[1:]
+    body = line[head:]
     if len(body) != need:
         raise FormatError(
-            f"graph6 body for n={n} needs {need} bytes, got {len(body)}", 1
+            f"graph6 body for n={n} needs {need} bytes, got {len(body)}", head
         )
     bits: list[int] = []
     for k, ch in enumerate(body):
         val = ord(ch) - 63
         if not 0 <= val <= 63:
-            raise FormatError(f"byte {ch!r} outside graph6 range", k + 1)
+            raise FormatError(f"byte {ch!r} outside graph6 range", k + head)
         bits.extend((val >> (5 - i)) & 1 for i in range(6))
     pairs = n * (n - 1) // 2
     if any(bits[pairs:]):

@@ -220,14 +220,53 @@ def _are_twins(adj: tuple[int, ...], u: int, v: int) -> bool:
     return adj[u] & m == adj[v] & m
 
 
+def _refine(adj: tuple[int, ...]) -> list[int]:
+    """Cells of the stable colour-refinement (1-WL) colouring, in colour order.
+
+    Starts from degrees; each round recolours v by (its colour, the number
+    of its neighbours in each cell) and orders the new colours by that
+    signature, so the cell order is invariant under isomorphism.  The
+    signature leads with the old colour, so a round splits each cell in
+    place.  Stops once a round leaves the number of cells unchanged.
+    """
+    n = len(adj)
+    by_degree: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    while len(cells) < n:
+        split: list[int] = []
+        for cell in cells:
+            if cell & (cell - 1) == 0:  # a single vertex cannot split
+                split.append(cell)
+                continue
+            parts: dict[tuple[int, ...], int] = {}
+            for v in bits(cell):
+                sig = (*[(adj[v] & m).bit_count() for m in cells],)
+                parts[sig] = parts.get(sig, 0) | 1 << v
+            split.extend(parts[sig] for sig in sorted(parts))
+        if len(split) == len(cells):
+            break
+        cells = split
+    return cells
+
+
 def canonical_form(g: Graph, cap: int = DEFAULT_CAPS.canonical) -> bytes:
     """Canonical byte string; equal iff the graphs are isomorphic.
 
-    Backtracks over vertex orderings for the lexicographically least
-    adjacency bit string (column-major upper triangle).  At each depth only
-    orderings whose next bit group is minimal can still win, so only those
-    are branched, keeping one representative per twin pair; this collapses
-    the factorial blowup on graphs with many interchangeable vertices.
+    Vertices are first coloured by colour refinement (1-WL): starting from
+    degrees, each vertex is recoloured by its colour and the multiset of its
+    neighbours' colours until the number of colour cells stops growing.
+    Only orderings that list the cells in colour order are searched, so
+    position k takes a vertex of the cell covering k; isomorphisms preserve
+    that set of orderings, so the key stays a complete invariant.
+
+    Within that set, backtracks for the lexicographically least adjacency bit
+    string (column-major upper triangle).  At each depth only orderings
+    whose next bit group is minimal can still win, so only those are
+    branched, keeping one representative per twin pair; this collapses the
+    factorial blowup on graphs with many interchangeable vertices.
     """
     n = g.n
     if n > cap:
@@ -235,6 +274,8 @@ def canonical_form(g: Graph, cap: int = DEFAULT_CAPS.canonical) -> bytes:
     if n <= 1:
         return bytes([n])
     adj = g.adj
+    # slot[k]: the cell covering position k of an ordering
+    slot = [cell for cell in _refine(adj) for _ in range(cell.bit_count())]
 
     best: list[int] | None = None
     order: list[int] = []
@@ -249,7 +290,7 @@ def canonical_form(g: Graph, cap: int = DEFAULT_CAPS.canonical) -> bytes:
             return
         lowest = -1
         cands: list[int] = []
-        for v in bits(g.vertex_mask & ~used):
+        for v in bits(slot[k] & ~used):
             val = 0
             for u in order:
                 val = val << 1 | (adj[v] >> u & 1)

@@ -23,7 +23,6 @@ from .oracles import (
     chromatic_number,
     clique_number,
     find_odd_hole,
-    independence_number,
     is_perfect_induced,
 )
 from .patterns import CLASS_BOUNDS, find_induced, pattern
@@ -104,11 +103,14 @@ def _pd_exact(g: Graph) -> bool:
 
 
 def _claw_centers(g: Graph) -> list[int]:
+    """Vertices with three pairwise non-adjacent neighbours u < w < x."""
     out = []
-    for v in range(g.n):
-        sub, _ = g.induced(g.adj[v])
-        if independence_number(sub) >= 3:
-            out.append(v)
+    for v, nb in enumerate(g.adj):
+        for u in bits(nb):
+            rest = nb & ~g.adj[u] & -(2 << u)  # non-neighbours of u above u
+            if any(rest & ~g.adj[w] & -(2 << w) for w in bits(rest)):
+                out.append(v)
+                break
     return out
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import forkdiv
 from forkdiv.cli import main
-from forkdiv.formats import emit_graph6
+from forkdiv.formats import emit_graph6, parse_graph6
 from forkdiv.graph import Graph
 from forkdiv.harness import enumerate_nonisomorphic
 
@@ -243,6 +243,18 @@ def test_format_inference_and_override(tmp_path, capsys):
     code = main(["oracle", "omega", str(renamed), "--format", "dimacs"])
     out, _ = capsys.readouterr()
     assert code == 0 and json.loads(out)["results"][0]["omega"] == 3
+
+
+def test_63_vertex_dimacs_gets_four_byte_graph6(tmp_path, capsys):
+    path = tmp_path / "p63.dimacs"
+    path.write_text("p edge 63 62\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, 63)))
+    code = main(["oracle", "omega", str(path), "--format", "dimacs"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    row = payload(out)["results"][0]
+    assert row["omega"] == 2
+    assert row["graph6"].startswith("~??~")
+    assert parse_graph6(row["graph6"]) == Graph.path(63)
 
 
 def test_console_script_entry_point():

@@ -1,3 +1,5 @@
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given
@@ -49,7 +51,7 @@ def test_graph6_parse_errors_carry_offsets():
     assert err.value.offset == 0
 
     with pytest.raises(FormatError) as err:
-        parse_graph6("~??")  # multi-byte size marker
+        parse_graph6("~??")  # truncated four-byte size header
     assert err.value.offset == 0
 
     with pytest.raises(FormatError) as err:
@@ -77,9 +79,29 @@ def test_graph6_lines_reports_line_numbers():
     assert [g.n for g in parse_graph6_lines("@\nA_\n")] == [1, 2]
 
 
-def test_emit_graph6_rejects_large_graphs():
-    with pytest.raises(FormatError):
-        emit_graph6(Graph.empty(63))
+@pytest.mark.parametrize("n", [63, 100, 128])
+def test_graph6_four_byte_size_round_trip(n):
+    rng = random.Random(n)
+    g = Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.3])
+    text = emit_graph6(g)
+    assert text[0] == "~" and len(text) == 4 + (n * (n - 1) // 2 + 5) // 6
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(g.edges())
+    assert text == nx.to_graph6_bytes(h, header=False).decode().strip()
+    assert parse_graph6(text) == g
+
+
+def test_graph6_size_above_max_vertices_is_rejected():
+    assert emit_graph6(Graph.empty(62)) == "}" + "?" * 316
+    assert emit_graph6(Graph.empty(63)).startswith("~??~")
+    for text in ("~?A@" + "?" * 1376, "~~??????"):  # n = 2·64 + 1 = 129; eight-byte size
+        with pytest.raises(FormatError) as err:
+            parse_graph6(text)
+        assert err.value.offset == 0
+    with pytest.raises(FormatError) as err:
+        parse_graph6("~??~" + "?" * 300)  # n = 63 needs 326 body bytes
+    assert err.value.offset == 4
 
 
 def test_dimacs_golden():

@@ -1,10 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
-from forkdiv.graph import Graph, are_isomorphic, bits, canonical_form, mask_of
+from forkdiv.graph import Graph, _refine, are_isomorphic, bits, canonical_form, mask_of
 from strategies import graphs
+from test_oracles import petersen
 
 
 def test_rejects_asymmetric_adjacency():
@@ -164,6 +167,54 @@ def test_canonical_form_separates_iff_brute_does(g, rng):
         assert (canonical_form(g) == canonical_form(other)) == same
     assert bruteforce.canonical(g) == bruteforce.canonical(h)
     assert canonical_form(g) == canonical_form(h)
+
+
+def test_canonical_form_partition_matches_bruteforce():
+    # every labelled graph on n <= 5 vertices: same keys exactly when the
+    # brute-force minimum over all n! relabellings agrees
+    for n in range(6):
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        fast: dict = {}
+        slow: dict = {}
+        for m in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [p for b, p in enumerate(pairs) if m >> b & 1])
+            key, brute = canonical_form(g), bruteforce.canonical(g)
+            assert fast.setdefault(key, brute) == brute
+            assert slow.setdefault(brute, key) == key
+
+
+def _prism() -> Graph:
+    return Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+
+
+@pytest.mark.parametrize(
+    "g,h",
+    [
+        (Graph.cycle(6), Graph.complete(3).disjoint_union(Graph.complete(3))),
+        (Graph.complete_bipartite(3, 3), _prism()),
+        (Graph.cycle(8), Graph.cycle(4).disjoint_union(Graph.cycle(4))),
+    ],
+    ids=["C6/2K3", "K33/prism", "C8/2C4"],
+)
+def test_canonical_form_separates_refinement_twins(g, h):
+    # regular pairs: colour refinement leaves one cell, the search must split them
+    assert len(_refine(g.adj)) == len(_refine(h.adj)) == 1
+    assert canonical_form(g) != canonical_form(h)
+    assert not are_isomorphic(g, h)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Graph.cycle(9), Graph.cycle(7).complement(), petersen()],
+    ids=["C9", "co-C7", "Petersen"],
+)
+def test_canonical_form_invariant_on_vertex_transitive_graphs(g):
+    rng = random.Random(g.n)
+    key = canonical_form(g)
+    for _ in range(20):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert canonical_form(g.relabel(perm)) == key
 
 
 def test_relabel_roundtrip():

@@ -1,10 +1,14 @@
+import hashlib
 from itertools import combinations
 
 import pytest
+from hypothesis import given
 
-from forkdiv.graph import Graph, canonical_form
+from forkdiv.formats import emit_graph6
+from forkdiv.graph import Graph, bits, canonical_form
 from forkdiv.harness import (
     CHECKS,
+    _claw_centers,
     enumerate_nonisomorphic,
     graphs_up_to,
     random_gnp,
@@ -12,6 +16,7 @@ from forkdiv.harness import (
     run_check,
 )
 from forkdiv.limits import CapacityError
+from strategies import graphs
 
 
 def test_enumeration_counts_match_known_sequence():
@@ -28,6 +33,13 @@ def test_enumeration_matches_labeled_enumeration():
             keys.add(canonical_form(Graph.from_edges(n, edges)))
         assert keys == {canonical_form(g) for g in enumerate_nonisomorphic(n)}
         assert len(keys) == len(enumerate_nonisomorphic(n))
+
+
+def test_enumeration_output_is_pinned():
+    # the bytes of `forkdiv gen --all 7`: same representatives in the same order
+    text = "\n".join(emit_graph6(g) for g in enumerate_nonisomorphic(7)) + "\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "aa8347fb48e37ddee5f27abd3425aaa093cf5184d787030198f2151ffe63ce52"
 
 
 def test_enumeration_capacity():
@@ -49,9 +61,28 @@ def test_gnp_extremes_and_determinism():
 
 
 def test_gnp_golden_seed():
-    from forkdiv.formats import emit_graph6
-
     assert emit_graph6(random_gnp(10, 0.5, 42)) == "I]`q_a`yw"
+
+
+def test_claw_centers_golden():
+    assert _claw_centers(Graph.complete_bipartite(1, 3)) == [0]
+    assert _claw_centers(Graph.complete_bipartite(2, 3)) == [0, 1]
+    assert _claw_centers(Graph.path(3)) == []
+    assert _claw_centers(Graph.cycle(5)) == []
+    assert _claw_centers(Graph.complete(5)) == []
+
+
+@given(graphs(max_n=9))
+def test_claw_centers_match_stable_triples(g):
+    want = [
+        v
+        for v in range(g.n)
+        if any(
+            not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c))
+            for a, b, c in combinations(bits(g.adj[v]), 3)
+        )
+    ]
+    assert _claw_centers(g) == want
 
 
 def test_registry_contents():
