@@ -6,7 +6,9 @@ Every subcommand that analyses graphs emits one JSON envelope on stdout:
 
 timing_s stays null unless --timing is passed, so repeated runs on the same
 input are byte-identical.  Exit codes: 0 ok, 1 a check failed or a
-counterexample/invariant violation surfaced, 2 usage or input errors.
+counterexample/invariant violation surfaced, 2 usage or input errors, or
+(divide, color) a graph of the batch over a capacity cap: that graph's row
+carries the error and every other row is still computed.
 """
 
 from __future__ import annotations
@@ -149,30 +151,41 @@ def _cmd_divide(args, started):
     if args.weights and len(graphs) != 1:
         raise _UsageError("--weights applies to a single-graph input")
     results = []
-    failed = False
+    code = 0
     for g in graphs:
         row = {"graph6": formats.emit_graph6(g)}
-        if args.weights:
-            d = divide_weighted(g, _load_weights(args.weights, g.n))
+        try:
+            if args.weights:
+                d = divide_weighted(g, _load_weights(args.weights, g.n))
+            else:
+                d = perfect_division(g)
+        except CapacityError as exc:
+            row.update(division=None, error=str(exc))
+            code = 2
         else:
-            d = perfect_division(g)  # CapacityError propagates as a usage error
-        row["division"] = d.to_json() if d else None
-        if d is None:
-            row["error"] = "no perfect division exists"
-            failed = True
+            row["division"] = d.to_json() if d else None
+            if d is None:
+                row["error"] = "no perfect division exists"
+                code = max(code, 1)
         results.append(row)
     _emit(_envelope("divide", meta, results, started))
-    return 1 if failed else 0
+    return code
 
 
 def _cmd_color(args, started):
     graphs, meta = _read_graphs(args.input, args.format)
     results = []
+    code = 0
     for g in graphs:
-        cert = color_by_division(g)
-        results.append({"graph6": formats.emit_graph6(g), **cert.to_json()})
+        row = {"graph6": formats.emit_graph6(g)}
+        try:
+            row.update(color_by_division(g).to_json())
+        except CapacityError as exc:
+            row["error"] = str(exc)
+            code = 2
+        results.append(row)
     _emit(_envelope("color", meta, results, started))
-    return 0
+    return code
 
 
 def _cmd_oracle(args, started):

@@ -6,25 +6,29 @@ U of the weight function: a vertex v of H = G[U] whose non-neighbourhood in
 H induces a perfect graph yields the split S = M_H(v) + v, T = N_H(v) plus
 all zero-weight vertices, and otherwise a homogeneous set X of H is
 contracted onto its minimum vertex carrying the max clique weight of H[X];
-divisions of the quotient and of H[X] recombine by substitution.  Every
-division returned anywhere is re-checked against the oracles first.
+divisions of the quotient and of H[X] recombine by substitution.  When
+neither route divides G, perfect_division falls back to the submask scan of
+exact divisibility, run on V alone over the 2**n omega and perfection
+tables.  Every returned division is first re-derived by one certificate
+check, _certify, from the clique and perfection oracles on vertex masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .decomposition import find_homogeneous_set
 from .graph import Graph, bits, mask_of
 from .limits import DEFAULT_CAPS, CapacityError, InvariantError
 from .oracles import (
+    _check_weights,
+    _max_clique_size,
+    _max_weight_value,
     _odd_holes,
     clique_number,
     exact_coloring,
     is_perfect,
     is_perfect_induced,
-    max_weight_clique,
 )
 
 
@@ -61,21 +65,29 @@ class Division:
         return out
 
 
-def _checked_division(g, a, b, strategy, pivot=None) -> Division:
-    """Assemble a Division, re-deriving its certificate from the oracles."""
+def _certify(g, a, b, strategy, pivot=None, w=None) -> Division:
+    """Assemble a Division, re-deriving its certificate from the oracles:
+    a and b partition V, G[a] is perfect, and omega drops on b (when g has
+    vertices) or, under weights w, the max clique weight does."""
     if a & b or (a | b) != g.vertex_mask:
         raise InvariantError(f"{strategy}: sides do not partition the vertex set")
-    a_perfect = is_perfect_induced(g, a)
-    sub_b, _ = g.induced(b)
-    omega_b = clique_number(sub_b)
-    omega = clique_number(g)
-    if not a_perfect:
+    if not is_perfect_induced(g, a):
         raise InvariantError(f"{strategy}: side A is not perfect (a={sorted(bits(a))})")
-    if g.n > 0 and omega_b >= omega:
-        raise InvariantError(
-            f"{strategy}: no clique drop (omega_b={omega_b}, omega={omega})"
-        )
-    return Division(a, b, strategy, a_perfect, omega_b, omega, pivot=pivot)
+    omega_b = _max_clique_size(g.adj, b)
+    omega = _max_clique_size(g.adj, g.vertex_mask)
+    omega_w_b = omega_w = None
+    if w is not None:
+        omega_w_b = _max_weight_value(g.adj, w, b)
+        omega_w = _max_weight_value(g.adj, w, g.vertex_mask)
+        if omega_w_b >= omega_w:
+            raise InvariantError(
+                f"{strategy}: no weighted clique drop (omega_w_b={omega_w_b}, omega_w={omega_w})"
+            )
+    elif g.n > 0 and omega_b >= omega:
+        raise InvariantError(f"{strategy}: no clique drop (omega_b={omega_b}, omega={omega})")
+    return Division(
+        a, b, strategy, True, omega_b, omega, pivot=pivot, omega_w_b=omega_w_b, omega_w=omega_w
+    )
 
 
 def perfect_division(
@@ -86,73 +98,35 @@ def perfect_division(
 
     Strategies in order: the whole graph is perfect; the weighted engine
     under unit weights, which first tries each vertex whose
-    non-neighbourhood induces a perfect graph (ascending index); exhaustive
-    subset scan below the cap.  Raises CapacityError when all else fails
-    above the cap.
+    non-neighbourhood induces a perfect graph (ascending index); the
+    exact-divisibility submask scan on V below the cap, which takes the
+    numerically largest perfect A.  Raises CapacityError when all else
+    fails above the cap.
     """
-    if g.n == 0:
-        return Division(0, 0, "perfect-whole", True, 0, 0)
     if is_perfect(g):
-        return _checked_division(g, g.vertex_mask, 0, "perfect-whole")
+        return _certify(g, g.vertex_mask, 0, "perfect-whole")
     res = _divide_support(g, g.vertex_mask, (1,) * g.n)
     if res is not None:
         a, b, strategy, pivot = res
-        return _checked_division(g, a, b, strategy, pivot=pivot)
+        return _certify(g, a, b, strategy, pivot)
     if g.n > exhaustive_cap:
         raise CapacityError("perfect_division (exhaustive fallback)", g.n, exhaustive_cap)
-    omega = clique_number(g)
-    vertices = range(g.n)
-    for size in range(g.n, -1, -1):
-        for combo in combinations(vertices, size):
-            a = mask_of(combo)
-            b = g.vertex_mask & ~a
-            sub_b, _ = g.induced(b)
-            if clique_number(sub_b) < omega and is_perfect_induced(g, a):
-                return _checked_division(g, a, b, "exhaustive")
-    return None
-
-
-def _omega_w(g, w, mask) -> int:
-    sub, vmap = g.induced(mask)
-    return max_weight_clique(sub, tuple(w[v] for v in vmap))[0]
+    a = _division_scan(g.vertex_mask, _omega_table(g), _imperfect_table(g))
+    return None if a is None else _certify(g, a, g.vertex_mask & ~a, "exhaustive")
 
 
 def divide_weighted(g: Graph, w) -> Division | None:
     """A division for nonnegative integer weights w (not all zero):
     G[S] perfect and the max clique weight strictly drops on T."""
-    w = tuple(int(x) for x in w)
-    if len(w) != g.n:
-        raise ValueError(f"expected {g.n} weights, got {len(w)}")
-    if any(x < 0 for x in w):
-        raise ValueError("weights must be nonnegative")
+    w = _check_weights(g, w)
     support = mask_of(v for v in range(g.n) if w[v] > 0)
     if not support:
         raise ValueError("weights must not be identically zero")
     res = _divide_support(g, support, w)
     if res is None:
         return None
-    s, t_inner, strategy, pivot = res
-    t = t_inner | (g.vertex_mask & ~support)
-    omega_w = _omega_w(g, w, g.vertex_mask)
-    omega_w_t = _omega_w(g, w, t)
-    if not is_perfect_induced(g, s):
-        raise InvariantError(f"divide_weighted: side S not perfect (s={sorted(bits(s))})")
-    if omega_w_t >= omega_w:
-        raise InvariantError(
-            f"divide_weighted: no weighted clique drop ({omega_w_t} >= {omega_w})"
-        )
-    sub_t, _ = g.induced(t)
-    return Division(
-        s,
-        t,
-        strategy,
-        True,
-        clique_number(sub_t),
-        clique_number(g),
-        pivot=pivot,
-        omega_w_b=omega_w_t,
-        omega_w=omega_w,
-    )
+    s, t, strategy, pivot = res
+    return _certify(g, s, t | (g.vertex_mask & ~support), strategy, pivot, w)
 
 
 def _divide_support(g, u_mask, w):
@@ -176,7 +150,7 @@ def _divide_with_module(g, u_mask, w, x):
     rep_v = rep.bit_length() - 1
     quotient_mask = (u_mask & ~x) | rep
     w_quotient = list(w)
-    w_quotient[rep_v] = _omega_w(g, w, x)
+    w_quotient[rep_v] = _max_weight_value(g.adj, w, x)
     res_q = _divide_support(g, quotient_mask, tuple(w_quotient))
     if res_q is None:
         return None
@@ -196,7 +170,7 @@ def _divide_with_module(g, u_mask, w, x):
         raise InvariantError(
             f"module recombination: S not perfect (s={sorted(bits(s))}, x={sorted(bits(x))})"
         )
-    if _omega_w(g, w, t) >= _omega_w(g, w, u_mask):
+    if _max_weight_value(g.adj, w, t) >= _max_weight_value(g.adj, w, u_mask):
         raise InvariantError(
             f"module recombination: no weighted drop (x={sorted(bits(x))})"
         )
@@ -228,6 +202,28 @@ def _imperfect_table(g: Graph) -> bytes:
     return x.to_bytes(size, "little")
 
 
+def _omega_table(g: Graph) -> list[int]:
+    """omega(G[m]) for every submask m."""
+    omega = [0] * (1 << g.n)
+    for m in range(1, 1 << g.n):
+        v = (m & -m).bit_length() - 1
+        rest = m ^ 1 << v
+        omega[m] = max(omega[rest], 1 + omega[rest & g.adj[v]])
+    return omega
+
+
+def _division_scan(h, omega, imperfect) -> int | None:
+    """The numerically largest submask a of h with G[a] perfect and
+    omega(h - a) < omega(h), or None when G[h] has no division."""
+    om_h = omega[h]
+    a = h
+    while imperfect[a] or omega[h & ~a] >= om_h:
+        if not a:
+            return None
+        a = (a - 1) & h
+    return a
+
+
 def is_perfectly_divisible_exact(
     g: Graph, cap: int = DEFAULT_CAPS.exact_divisibility
 ) -> bool:
@@ -237,28 +233,13 @@ def is_perfectly_divisible_exact(
     imperfect h then needs one scan of its submasks a for a perfect a with
     omega(h - a) < omega(h).
     """
-    n = g.n
-    if n > cap:
-        raise CapacityError("is_perfectly_divisible_exact", n, cap)
-    if n == 0:
-        return True
-    adj = g.adj
-    omega = [0] * (1 << n)
-    for m in range(1, 1 << n):
-        v = (m & -m).bit_length() - 1
-        rest = m ^ 1 << v
-        omega[m] = max(omega[rest], 1 + omega[rest & adj[v]])
+    if g.n > cap:
+        raise CapacityError("is_perfectly_divisible_exact", g.n, cap)
+    omega = _omega_table(g)
     imperfect = _imperfect_table(g)
-
     for h in range(g.vertex_mask, 0, -1):
-        if not imperfect[h]:
-            continue
-        om_h = omega[h]
-        a = h
-        while imperfect[a] or omega[h & ~a] >= om_h:
-            if not a:
-                return False
-            a = (a - 1) & h
+        if imperfect[h] and _division_scan(h, omega, imperfect) is None:
+            return False
     return True
 
 
@@ -386,9 +367,7 @@ def line_graph_division(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...], D
     if not g.is_connected():
         raise ValueError("line_graph_division needs a connected graph")
     lg, edge_list = g.line_graph()
-    if g.edge_count == g.n - 1:
-        return lg, edge_list, _checked_division(lg, lg.vertex_mask, 0, "spanning-tree")
     tree = _dfs_tree_edges(g)
     a = mask_of(i for i, e in enumerate(edge_list) if e in tree)
     b = lg.vertex_mask & ~a
-    return lg, edge_list, _checked_division(lg, a, b, "spanning-tree")
+    return lg, edge_list, _certify(lg, a, b, "spanning-tree")

@@ -101,6 +101,28 @@ def test_divide_success_and_counterexample(capsys, monkeypatch):
     assert "no perfect division" in row["error"]
 
 
+def test_oversized_graph_becomes_an_error_row(capsys, monkeypatch):
+    # C13 + C5 has 18 vertices, over the odd-hole and colouring caps of 16
+    big = emit_graph6(Graph.cycle(13).disjoint_union(Graph.cycle(5)))
+    batch = "\n".join([C5, big, MYCIELSKI]) + "\n"
+    code, out, _ = run_cli(["divide", "-"], capsys, stdin=batch, monkeypatch=monkeypatch)
+    assert code == 2
+    small, over, none = json.loads(out)["results"]
+    assert small["division"]["a"] == [0, 2, 3] and "error" not in small
+    assert over == {
+        "graph6": big,
+        "division": None,
+        "error": "find_odd_hole: graph has 18 vertices, cap is 16",
+    }
+    assert none["division"] is None and "no perfect division" in none["error"]
+
+    code, out, _ = run_cli(["color", "-"], capsys, stdin=C5 + "\n" + big + "\n", monkeypatch=monkeypatch)
+    assert code == 2
+    small, over = json.loads(out)["results"]
+    assert small["palette"] == 3 and "error" not in small
+    assert over == {"graph6": big, "error": "exact_coloring: graph has 18 vertices, cap is 16"}
+
+
 def test_divide_weighted(tmp_path, capsys, monkeypatch):
     wfile = tmp_path / "w.json"
     wfile.write_text("[1, 0, 0]")

@@ -3,10 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
-from forkdiv import formats
+from forkdiv import divisibility, formats
 from forkdiv.divisibility import (
+    _certify,
     _divide_with_module,
+    _division_scan,
     _imperfect_table,
+    _omega_table,
     color_by_division,
     divide_weighted,
     is_perfectly_divisible_exact,
@@ -14,7 +17,7 @@ from forkdiv.divisibility import (
     perfect_division,
 )
 from forkdiv.graph import Graph, bits, mask_of
-from forkdiv.limits import CapacityError
+from forkdiv.limits import CapacityError, InvariantError
 from forkdiv.oracles import chromatic_number, clique_number, is_perfect
 from forkdiv.patterns import has_induced
 from strategies import connected_graphs, graphs, weighted_graphs
@@ -63,7 +66,7 @@ def test_division_of_perfect_graphs_is_whole():
         assert d.a == g.vertex_mask and d.b == 0
         assert d.strategy == "perfect-whole"
     d = perfect_division(Graph.empty(0))
-    assert (d.a, d.b) == (0, 0)
+    assert (d.a, d.b, d.strategy, d.omega_b, d.omega) == (0, 0, "perfect-whole", 0, 0)
 
 
 def test_no_division_for_triangle_free_chi4():
@@ -73,6 +76,63 @@ def test_no_division_for_triangle_free_chi4():
     assert not bruteforce.has_division(g)
     # not a candidate against the fork-free conjecture
     assert has_induced(g, "fork")
+
+
+@pytest.mark.parametrize(
+    "g, a, b, w, message",
+    [
+        (Graph.cycle(5), 0b11111, 0b00001, None, "do not partition"),
+        (Graph.cycle(5), 0b01101, 0b00010, None, "do not partition"),
+        (Graph.cycle(5), 0b11111, 0, None, "not perfect"),
+        (Graph.path(3), 0b001, 0b110, None, "no clique drop"),
+        # the heavy edge 1-2 keeps the max clique weight on b
+        (Graph.path(3), 0b001, 0b110, (1, 0, 5), "no weighted clique drop"),
+    ],
+    ids=["overlap", "not-covering", "imperfect-a", "no-omega-drop", "no-weighted-drop"],
+)
+def test_certify_rejects_bad_divisions(g, a, b, w, message):
+    with pytest.raises(InvariantError, match=message):
+        _certify(g, a, b, "golden", w=w)
+
+
+def _largest_division_side(g):
+    perfect, omega = bruteforce.perfect_table(g), bruteforce.omega_table(g)
+    full = g.vertex_mask
+    return max(
+        (a for a in range(full + 1) if perfect[a] and omega[full & ~a] < omega[full]),
+        default=None,
+    )
+
+
+@given(graphs(min_n=1))
+def test_division_scan_finds_a_division_iff_one_exists(g):
+    # production reaches this scan only when both division engines fail
+    a = _division_scan(g.vertex_mask, _omega_table(g), _imperfect_table(g))
+    assert (a is not None) == bruteforce.has_division(g)
+    assert a == _largest_division_side(g)
+    if a is not None:
+        _revalidate(g, _certify(g, a, g.vertex_mask & ~a, "exhaustive"))
+
+
+def test_division_scan_passes_perfect_sides_without_a_drop():
+    # two C5s joined by the edge 0-5: the largest perfect side, V - {0, 5},
+    # leaves that edge and so omega = 2; the scan must go further down
+    two_c5 = Graph.cycle(5).disjoint_union(Graph.cycle(5))
+    g = Graph.from_edges(10, list(two_c5.edges()) + [(0, 5)])
+    a = _division_scan(g.vertex_mask, _omega_table(g), _imperfect_table(g))
+    assert sorted(bits(a)) == [0, 2, 3, 4, 6, 7, 8, 9] and a == _largest_division_side(g)
+    _revalidate(g, _certify(g, a, g.vertex_mask & ~a, "exhaustive"))
+
+
+def test_exhaustive_branch_takes_largest_perfect_side(monkeypatch):
+    monkeypatch.setattr(divisibility, "_divide_support", lambda g, u_mask, w: None)
+    g = Graph.cycle(5)
+    d = perfect_division(g)
+    assert d.strategy == "exhaustive"
+    assert sorted(bits(d.a)) == [1, 2, 3, 4] and sorted(bits(d.b)) == [0]
+    _revalidate(g, d)
+    with pytest.raises(CapacityError):
+        perfect_division(g, exhaustive_cap=4)
 
 
 @given(graphs())
