@@ -7,8 +7,9 @@ Every subcommand that analyses graphs emits one JSON envelope on stdout:
 timing_s stays null unless --timing is passed, so repeated runs on the same
 input are byte-identical.  Exit codes: 0 ok, 1 a check failed or a
 counterexample/invariant violation surfaced, 2 usage or input errors, or
-(divide, color) a graph of the batch over a capacity cap: that graph's row
-carries the error and every other row is still computed.
+(divide, color, oracle, linegraph) a graph of the batch over a capacity
+cap, or (linegraph) one that is disconnected or has no edge: that graph's
+row carries the error and every other row is still computed.
 """
 
 from __future__ import annotations
@@ -188,25 +189,30 @@ def _cmd_color(args, started):
     return code
 
 
+_ORACLES = {
+    "chi": chromatic_number,
+    "omega": clique_number,
+    "alpha": independence_number,
+    "perfect": is_perfect,
+    "odd-hole": lambda g: None if (hole := find_odd_hole(g)) is None else sorted(bits(hole)),
+}
+
+
 def _cmd_oracle(args, started):
     graphs, meta = _read_graphs(args.input, args.format)
+    field = args.question.replace("-", "_")
     results = []
+    code = 0
     for g in graphs:
         row = {"graph6": formats.emit_graph6(g)}
-        if args.question == "chi":
-            row["chi"] = chromatic_number(g)
-        elif args.question == "omega":
-            row["omega"] = clique_number(g)
-        elif args.question == "alpha":
-            row["alpha"] = independence_number(g)
-        elif args.question == "perfect":
-            row["perfect"] = is_perfect(g)
-        else:
-            hole = find_odd_hole(g)
-            row["odd_hole"] = sorted(bits(hole)) if hole is not None else None
+        try:
+            row[field] = _ORACLES[args.question](g)
+        except CapacityError as exc:
+            row.update({field: None, "error": str(exc)})
+            code = 2
         results.append(row)
     _emit(_envelope("oracle", meta, results, started))
-    return 0
+    return code
 
 
 def _cmd_gen(args, started):
@@ -250,15 +256,15 @@ def _cmd_verify(args, started):
 def _cmd_linegraph(args, started):
     graphs, meta = _read_graphs(args.input, args.format)
     results = []
-    failed = False
+    code = 0
     for g in graphs:
         row = {"graph6": formats.emit_graph6(g)}
         try:
             lg, edge_list, d = line_graph_division(g)
-        except InvariantError as exc:
-            # a failed certificate is a finding, not a usage problem
+        except (InvariantError, ValueError, CapacityError) as exc:
+            # a failed certificate is a finding; the rest are input errors
             row["error"] = str(exc)
-            failed = True
+            code = max(code, 1 if isinstance(exc, InvariantError) else 2)
         else:
             row["line_graph6"] = formats.emit_graph6(lg)
             row["edge_order"] = [list(e) for e in edge_list]
@@ -266,7 +272,7 @@ def _cmd_linegraph(args, started):
                 row["division"] = d.to_json()
         results.append(row)
     _emit(_envelope("linegraph", meta, results, started))
-    return 1 if failed else 0
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_color)
 
     p = sub.add_parser("oracle", help="exact invariants")
-    p.add_argument("question", choices=("chi", "omega", "alpha", "perfect", "odd-hole"))
+    p.add_argument("question", choices=tuple(_ORACLES))
     add_input(p)
     p.set_defaults(run=_cmd_oracle)
 

@@ -203,12 +203,13 @@ def _imperfect_table(g: Graph) -> bytes:
 
 
 def _omega_table(g: Graph) -> list[int]:
-    """omega(G[m]) for every submask m."""
-    omega = [0] * (1 << g.n)
-    for m in range(1, 1 << g.n):
-        v = (m & -m).bit_length() - 1
-        rest = m ^ 1 << v
-        omega[m] = max(omega[rest], 1 + omega[rest & g.adj[v]])
+    """omega(G[m]) for every submask m, by doubling: for m below v,
+    omega[m + v] = max(omega[m], 1 + omega[m & N(v)]), which is omega[m]
+    plus one exactly when omega[m & N(v)] (never larger) equals it."""
+    omega = [0]
+    for v, row in enumerate(g.adj):
+        low = row & ((1 << v) - 1)
+        omega += [o + (omega[m & low] == o) for m, o in enumerate(omega)]
     return omega
 
 

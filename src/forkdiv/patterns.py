@@ -9,6 +9,7 @@ extra vertex, so each construction reads like its definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graph import Graph, bits
 from .oracles import clique_number
@@ -126,47 +127,59 @@ class PatternWitness:
         return True
 
 
+@lru_cache(maxsize=64)
+def _plan(pat: Graph):
+    """Steps (vertices by descending degree), their degrees, and adjacency to later steps."""
+    order = sorted(range(pat.n), key=lambda v: (-pat.degree(v), v))
+    links = tuple(tuple(pat.has_edge(u, w) for w in order[i + 1 :]) for i, u in enumerate(order))
+    return tuple(order), tuple(pat.degree(u) for u in order), links
+
+
 def iter_induced(host: Graph, pat: Graph):
     """Yield every induced embedding of pat in host as a mapping tuple.
 
     Pattern vertices are assigned in descending-degree order; host
     candidates ascend, so the first yield is the lexicographically least
-    witness under that order.
+    witness under that order.  The search uses forward checking on vertex
+    masks: each later step keeps a domain of degree-feasible host vertices,
+    cut to the neighbours or non-neighbours of every placed vertex as the
+    pattern demands, and a placement that empties a domain is pruned.
     """
-    p = pat.n
-    if p > host.n:
+    p, n, adj = pat.n, host.n, host.adj
+    if p > n:
         return
     if p == 0:
         yield ()
         return
-    order = sorted(range(p), key=lambda v: (-pat.degree(v), v))
-    host_deg = [host.degree(v) for v in range(host.n)]
-    pat_deg = [pat.degree(v) for v in range(p)]
-    assign = [-1] * p
-
-    def extend(i, used):
-        u = order[i]
-        allowed = host.vertex_mask & ~used
-        for j in range(i):
-            w = order[j]
-            hv = assign[w]
-            if pat.has_edge(u, w):
-                allowed &= host.adj[hv]
-            else:
-                allowed &= ~host.adj[hv]
-        for hv in bits(allowed):
-            if host_deg[hv] < pat_deg[u]:
-                continue
-            if host.n - 1 - host_deg[hv] < p - 1 - pat_deg[u]:
-                continue
-            assign[u] = hv
-            if i + 1 == p:
-                yield tuple(assign)
-            else:
-                yield from extend(i + 1, used | 1 << hv)
-        assign[u] = -1
-
-    yield from extend(0, 0)
+    order, degs, links = _plan(pat)
+    co = [host.vertex_mask ^ row ^ 1 << v for v, row in enumerate(adj)]
+    by_degree = [0] * n
+    for v, row in enumerate(adj):
+        by_degree[row.bit_count()] |= 1 << v
+    # a host vertex needs as many neighbours and non-neighbours as the step
+    doms = [sum(by_degree[d : d + n - p + 1]) for d in degs]
+    assign, last = [0] * p, p - 1
+    left = [doms[0]] + [0] * last  # left[i]: untried candidates of step i
+    rest = [doms[1:]] + [()] * last  # rest[i]: domains of the steps after i
+    i = 0
+    while i >= 0:
+        m = left[i]
+        if not m:
+            i -= 1
+            continue
+        low = m & -m
+        left[i] = m ^ low
+        hv = low.bit_length() - 1
+        assign[order[i]] = hv
+        if i == last:
+            yield tuple(assign)
+            continue
+        a, c = adj[hv], co[hv]
+        later = [d & (a if e else c) for d, e in zip(rest[i], links[i])]
+        if all(later):
+            i += 1
+            left[i] = later[0]
+            rest[i] = later[1:]
 
 
 def find_induced(host: Graph, pat: Graph, name: str | None = None) -> PatternWitness | None:

@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 
 import forkdiv
+from forkdiv import cli
 from forkdiv.cli import main
 from forkdiv.formats import emit_graph6, parse_graph6
-from forkdiv.graph import Graph
+from forkdiv.graph import Graph, are_isomorphic
 from forkdiv.harness import enumerate_nonisomorphic
+from forkdiv.limits import InvariantError
 
 C5 = emit_graph6(Graph.cycle(5))          # "DqK" shape; derived via emit
 MYCIELSKI = "JhdLA_gc?N_"                 # triangle-free, chi = 4, no division
@@ -123,6 +125,24 @@ def test_oversized_graph_becomes_an_error_row(capsys, monkeypatch):
     assert over == {"graph6": big, "error": "exact_coloring: graph has 18 vertices, cap is 16"}
 
 
+@pytest.mark.parametrize(
+    "question, field, answer, message",
+    [
+        ("chi", "chi", 3, "exact_coloring: graph has 18 vertices, cap is 16"),
+        ("perfect", "perfect", False, "find_odd_hole: graph has 18 vertices, cap is 16"),
+        ("odd-hole", "odd_hole", [0, 1, 2, 3, 4], "find_odd_hole: graph has 18 vertices, cap is 16"),
+    ],
+)
+def test_oracle_batch_keeps_going_past_a_capped_graph(question, field, answer, message, capsys, monkeypatch):
+    big = emit_graph6(Graph.cycle(13).disjoint_union(Graph.cycle(5)))
+    batch = "\n".join([C5, big, C5]) + "\n"
+    code, out, _ = run_cli(["oracle", question, "-"], capsys, stdin=batch, monkeypatch=monkeypatch)
+    assert code == 2
+    first, over, last = json.loads(out)["results"]
+    assert first == last == {"graph6": C5, field: answer}
+    assert over == {"graph6": big, field: None, "error": message}
+
+
 def test_divide_weighted(tmp_path, capsys, monkeypatch):
     wfile = tmp_path / "w.json"
     wfile.write_text("[1, 0, 0]")
@@ -224,9 +244,44 @@ def test_linegraph(capsys, monkeypatch):
     assert row["division"]["b"] == []
 
     disconnected = emit_graph6(Graph.empty(3))
-    code, _, err = run_cli(["linegraph", "-"], capsys, stdin=disconnected + "\n", monkeypatch=monkeypatch)
+    code, out, _ = run_cli(["linegraph", "-"], capsys, stdin=disconnected + "\n", monkeypatch=monkeypatch)
     assert code == 2
-    assert "connected" in err
+    assert "connected" in json.loads(out)["results"][0]["error"]
+
+
+def test_linegraph_batch_keeps_going_past_bad_graphs(capsys, monkeypatch):
+    c18 = emit_graph6(Graph.cycle(13).disjoint_union(Graph.cycle(5)))
+    # the line graph of C19 is C19; its depth-first tree side has 18
+    # vertices, over the odd-hole cap of 16
+    c19 = emit_graph6(Graph.cycle(19))
+    k1 = emit_graph6(Graph.empty(1))
+    batch = "\n".join([C5, c18, c19, k1]) + "\n"
+    code, out, _ = run_cli(["linegraph", "--divide", "-"], capsys, stdin=batch, monkeypatch=monkeypatch)
+    assert code == 2
+    small, disconnected, over, edgeless = json.loads(out)["results"]
+    assert are_isomorphic(parse_graph6(small["line_graph6"]), Graph.cycle(5))
+    assert small["division"]["strategy"] == "spanning-tree"
+    assert disconnected == {"graph6": c18, "error": "line_graph_division needs a connected graph"}
+    assert over == {"graph6": c19, "error": "find_odd_hole: graph has 18 vertices, cap is 16"}
+    assert edgeless == {"graph6": k1, "error": "line_graph_division needs at least one edge"}
+
+
+def test_linegraph_certificate_failure_exits_1(capsys, monkeypatch):
+    real = cli.line_graph_division
+
+    def broken(g):
+        if g == Graph.cycle(5):
+            raise InvariantError("spanning-tree: side A is not perfect")
+        return real(g)
+
+    monkeypatch.setattr(cli, "line_graph_division", broken)
+    code, out, _ = run_cli(["linegraph", "-"], capsys, stdin=C5 + "\n", monkeypatch=monkeypatch)
+    assert code == 1
+    assert json.loads(out)["results"][0]["error"] == "spanning-tree: side A is not perfect"
+    # an input error in the same batch outranks the finding
+    batch = emit_graph6(Graph.empty(3)) + "\n" + C5 + "\n"
+    code, _, _ = run_cli(["linegraph", "-"], capsys, stdin=batch, monkeypatch=monkeypatch)
+    assert code == 2
 
 
 def test_malformed_input_is_usage_error(capsys, monkeypatch):
@@ -295,3 +350,18 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"][0]["chi"] == 3
+
+
+def test_hunt_script_smoke():
+    root = Path(__file__).parents[1]
+    src = str(Path(forkdiv.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "hunt_conjecture.py"),
+         "--exhaustive-n", "5", "--samples", "20", "--max-n", "7"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "no counterexample found"

@@ -243,6 +243,19 @@ def test_imperfect_table_sees_odd_antiholes(g):
     assert [not x for x in _imperfect_table(g)] == bruteforce.perfect_table(g)
 
 
+@given(graphs(max_n=8))
+def test_omega_table_matches_brute_force(g):
+    assert _omega_table(g) == bruteforce.omega_table(g)
+
+
+def test_omega_table_golden_cases():
+    assert _omega_table(Graph.empty(0)) == [0]
+    assert _omega_table(Graph.complete(3)) == [0, 1, 1, 2, 1, 2, 2, 3]
+    assert _omega_table(Graph.path(3)) == [0, 1, 1, 2, 1, 1, 2, 2]
+    table = _omega_table(petersen())
+    assert len(table) == 1 << 10 and max(table) == 2 and table[(1 << 10) - 1] == 2
+
+
 @settings(max_examples=60)
 @given(graphs())
 def test_imperfect_table_matches_chi_equals_omega(g):

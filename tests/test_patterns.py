@@ -8,6 +8,7 @@ from forkdiv.oracles import clique_number, independence_number
 from forkdiv.patterns import (
     CATALOG,
     CLASS_BOUNDS,
+    PatternWitness,
     classify,
     claw_center,
     find_induced,
@@ -51,6 +52,15 @@ def test_find_induced_golden_cases():
     assert w is not None and w.validate(Graph.complete_bipartite(1, 3), pattern("claw"))
     w = find_induced(petersen(), pattern("claw"), "claw")
     assert w is not None and w.validate(petersen(), pattern("claw"))
+    # first witnesses, as detect reports them
+    assert w.mapping == (0, 1, 4, 5)
+    assert find_induced(petersen(), pattern("fork"), "fork").mapping == (2, 1, 0, 4, 5)
+    assert find_induced(petersen(), pattern("P6"), "P6") is None
+    assert find_induced(pattern("co-dart"), pattern("co-dart")).mapping == (0, 1, 2, 3, 4)
+    assert find_induced(Graph.cycle(7), pattern("P5")).mapping == (6, 0, 1, 2, 3)
+    assert list(iter_induced(Graph.cycle(4), pattern("K1"))) == [(0,), (1,), (2,), (3,)]
+    assert list(iter_induced(Graph.empty(2), pattern("K2"))) == []
+    assert list(iter_induced(Graph.empty(0), Graph.empty(0))) == [()]
 
 
 def test_is_free_golden_cases():
@@ -80,16 +90,20 @@ def test_claw_free_three_ways(g):
     assert a == b == c
 
 
-@settings(max_examples=60)
-@given(graphs(max_n=6), st.sampled_from(["P4", "claw", "paw", "diamond", "C4", "fork", "bull", "2K2"]))
+SMALL_PATTERNS = sorted(name for name, pat in CATALOG.items() if pat.n <= 5)
+
+
+@settings(max_examples=150)
+@given(graphs(max_n=7), st.sampled_from(SMALL_PATTERNS))
 def test_iter_induced_matches_all_injections_oracle(g, name):
+    # every embedding, in witness order: sorted by the host vertices of the
+    # pattern's vertices taken in descending-degree order (ties by index)
     pat = pattern(name)
-    got = set(iter_induced(g, pat))
-    want = bruteforce.induced_embeddings(g, pat)
+    order = sorted(range(pat.n), key=lambda v: (-pat.degree(v), v))
+    want = sorted(bruteforce.induced_embeddings(g, pat), key=lambda m: [m[v] for v in order])
+    got = list(iter_induced(g, pat))
     assert got == want
     for mapping in got:
-        from forkdiv.patterns import PatternWitness
-
         assert PatternWitness(name, mapping).validate(g, pat)
 
 
