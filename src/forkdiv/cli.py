@@ -21,7 +21,8 @@ import sys
 import time
 
 from . import __version__, formats
-from .divisibility import color_by_division, divide_weighted, line_graph_division, perfect_division
+from .divisibility import _line_graph, color_by_division, divide_weighted, line_graph_division
+from .divisibility import perfect_division
 from .graph import Graph, bits
 from .harness import CHECKS, enumerate_nonisomorphic, graphs_up_to, random_gnp, run_all
 from .limits import CapacityError, InvariantError
@@ -260,7 +261,7 @@ def _cmd_linegraph(args, started):
     for g in graphs:
         row = {"graph6": formats.emit_graph6(g)}
         try:
-            lg, edge_list, d = line_graph_division(g)
+            lg, edge_list, d = line_graph_division(g) if args.divide else (*_line_graph(g), None)
         except (InvariantError, ValueError, CapacityError) as exc:
             # a failed certificate is a finding; the rest are input errors
             row["error"] = str(exc)
@@ -268,7 +269,7 @@ def _cmd_linegraph(args, started):
         else:
             row["line_graph6"] = formats.emit_graph6(lg)
             row["edge_order"] = [list(e) for e in edge_list]
-            if args.divide:
+            if d is not None:
                 row["division"] = d.to_json()
         results.append(row)
     _emit(_envelope("linegraph", meta, results, started))

@@ -20,9 +20,14 @@ def mixed_vertices(g: Graph, s: int) -> int:
         raise ValueError("mixed_vertices needs a nonempty set")
     if s & ~g.vertex_mask:
         raise IndexError("subset mask has bits outside the vertex range")
+    return _mixed(g.adj, g.vertex_mask, s)
+
+
+def _mixed(adj, mask, s):
+    """Vertices of mask outside s adjacent to some but not all of s."""
     out = 0
-    for v in bits(g.vertex_mask & ~s):
-        inter = g.adj[v] & s
+    for v in bits(mask & ~s):
+        inter = adj[v] & s
         if inter and inter != s:
             out |= 1 << v
     return out
@@ -38,17 +43,17 @@ def find_homogeneous_set(g: Graph) -> int | None:
     Closes each vertex pair under mixed-vertex addition; the closure is the
     least homogeneous candidate containing that pair.
     """
-    if g.n < 3:
-        return None
+    return _homogeneous_set(g.adj, g.vertex_mask)
+
+
+def _homogeneous_set(adj, mask):
+    """find_homogeneous_set of the subgraph induced on mask, as a mask."""
     best: tuple[int, tuple[int, ...], int] | None = None
-    for u, v in itertools.combinations(range(g.n), 2):
+    for u, v in itertools.combinations(bits(mask), 2):
         s = 1 << u | 1 << v
-        while True:
-            m = mixed_vertices(g, s)
-            if not m:
-                break
+        while m := _mixed(adj, mask, s):
             s |= m
-        if s == g.vertex_mask:
+        if s == mask:
             continue
         key = (s.bit_count(), tuple(bits(s)), s)
         if best is None or key < best:

@@ -1,33 +1,32 @@
 """Perfect divisions, weighted divisions, and divisibility-based colouring.
 
 A division of G splits V into A and B with G[A] perfect and, when G has any
-vertices, omega(G[B]) < omega(G).  The weighted engine works on the support
-U of the weight function: a vertex v of H = G[U] whose non-neighbourhood in
-H induces a perfect graph yields the split S = M_H(v) + v, T = N_H(v) plus
-all zero-weight vertices, and otherwise a homogeneous set X of H is
-contracted onto its minimum vertex carrying the max clique weight of H[X];
-divisions of the quotient and of H[X] recombine by substitution.  When
-neither route divides G, perfect_division falls back to the submask scan of
-exact divisibility, run on V alone over the 2**n omega and perfection
-tables.  Every returned division is first re-derived by one certificate
-check, _certify, from the clique and perfection oracles on vertex masks.
+vertices, omega(G[B]) < omega(G).  Every routine here works on vertex masks
+of one host graph.  The weighted engine divides H = G[U], U the support of
+the weights: a pivot v with perfect M_H(v) yields S = M_H(v) + v and T =
+N_H(v) plus the zero-weight vertices; otherwise a homogeneous set X of H is
+contracted onto its minimum vertex, weighted by the max clique weight of
+H[X], and divisions of the quotient and of H[X] recombine by substitution.
+Failing both, the exact-divisibility submask scan runs on a compact copy of
+G[mask] for its 2**k tables: the one induced copy the engine makes.
+color_by_division peels its layers as masks of the host.  Every returned
+division is first re-derived by one certificate check, _certify.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomposition import find_homogeneous_set
+from .decomposition import _homogeneous_set
 from .graph import Graph, bits, mask_of
 from .limits import DEFAULT_CAPS, CapacityError, InvariantError
 from .oracles import (
     _check_weights,
+    _exact_coloring,
     _max_clique_size,
     _max_weight_value,
     _odd_holes,
     clique_number,
-    exact_coloring,
-    is_perfect,
     is_perfect_induced,
 )
 
@@ -65,25 +64,27 @@ class Division:
         return out
 
 
-def _certify(g, a, b, strategy, pivot=None, w=None) -> Division:
-    """Assemble a Division, re-deriving its certificate from the oracles:
-    a and b partition V, G[a] is perfect, and omega drops on b (when g has
-    vertices) or, under weights w, the max clique weight does."""
-    if a & b or (a | b) != g.vertex_mask:
+def _certify(g, a, b, strategy, pivot=None, w=None, within=None) -> Division:
+    """Assemble a Division of G[within] (default: all of G), re-deriving its
+    certificate from the oracles: a and b partition within, G[a] is perfect,
+    and omega drops on b (when within is nonempty) or, under weights w, the
+    max clique weight does."""
+    within = g.vertex_mask if within is None else within
+    if a & b or (a | b) != within:
         raise InvariantError(f"{strategy}: sides do not partition the vertex set")
     if not is_perfect_induced(g, a):
         raise InvariantError(f"{strategy}: side A is not perfect (a={sorted(bits(a))})")
     omega_b = _max_clique_size(g.adj, b)
-    omega = _max_clique_size(g.adj, g.vertex_mask)
+    omega = _max_clique_size(g.adj, within)
     omega_w_b = omega_w = None
     if w is not None:
         omega_w_b = _max_weight_value(g.adj, w, b)
-        omega_w = _max_weight_value(g.adj, w, g.vertex_mask)
+        omega_w = _max_weight_value(g.adj, w, within)
         if omega_w_b >= omega_w:
             raise InvariantError(
                 f"{strategy}: no weighted clique drop (omega_w_b={omega_w_b}, omega_w={omega_w})"
             )
-    elif g.n > 0 and omega_b >= omega:
+    elif within and omega_b >= omega:
         raise InvariantError(f"{strategy}: no clique drop (omega_b={omega_b}, omega={omega})")
     return Division(
         a, b, strategy, True, omega_b, omega, pivot=pivot, omega_w_b=omega_w_b, omega_w=omega_w
@@ -103,16 +104,26 @@ def perfect_division(
     numerically largest perfect A.  Raises CapacityError when all else
     fails above the cap.
     """
-    if is_perfect(g):
-        return _certify(g, g.vertex_mask, 0, "perfect-whole")
-    res = _divide_support(g, g.vertex_mask, (1,) * g.n)
+    return _divide_mask(g, g.vertex_mask, exhaustive_cap)
+
+
+def _divide_mask(g, mask, cap):
+    """perfect_division of G[mask], with both sides as masks of g.  Only the
+    exhaustive fallback compacts G[mask] into a copy, for its dense tables."""
+    if is_perfect_induced(g, mask):
+        return _certify(g, mask, 0, "perfect-whole", within=mask)
+    res = _divide_support(g, mask, (1,) * g.n)
     if res is not None:
         a, b, strategy, pivot = res
-        return _certify(g, a, b, strategy, pivot)
-    if g.n > exhaustive_cap:
-        raise CapacityError("perfect_division (exhaustive fallback)", g.n, exhaustive_cap)
-    a = _division_scan(g.vertex_mask, _omega_table(g), _imperfect_table(g))
-    return None if a is None else _certify(g, a, g.vertex_mask & ~a, "exhaustive")
+        return _certify(g, a, b, strategy, pivot, within=mask)
+    if mask.bit_count() > cap:
+        raise CapacityError("perfect_division (exhaustive fallback)", mask.bit_count(), cap)
+    h, vmap = g.induced(mask)
+    a = _division_scan(h.vertex_mask, _omega_table(h), _imperfect_table(h))
+    if a is None:
+        return None
+    a = mask_of(vmap[i] for i in bits(a))
+    return _certify(g, a, mask & ~a, "exhaustive", within=mask)
 
 
 def divide_weighted(g: Graph, w) -> Division | None:
@@ -136,12 +147,8 @@ def _divide_support(g, u_mask, w):
         m_h = u_mask & ~g.adj[v] & ~(1 << v)
         if is_perfect_induced(g, m_h):
             return m_h | 1 << v, u_mask & g.adj[v], "perfect-non-neighborhood", v
-    h, hmap = g.induced(u_mask)
-    x_local = find_homogeneous_set(h)
-    if x_local is None:
-        return None
-    x = mask_of(hmap[i] for i in bits(x_local))
-    return _divide_with_module(g, u_mask, w, x)
+    x = _homogeneous_set(g.adj, u_mask)
+    return None if x is None else _divide_with_module(g, u_mask, w, x)
 
 
 def _divide_with_module(g, u_mask, w, x):
@@ -297,34 +304,21 @@ def color_by_division(
     next_color = 0
     fallback = False
     while remaining:
-        sub, vmap = g.induced(remaining)
         try:
-            d = perfect_division(sub, exhaustive_cap)
+            d = _divide_mask(g, remaining, exhaustive_cap)
         except CapacityError:
             d = None
-        if d is None:
-            residual_colors = exact_coloring(sub, coloring_cap)
-            for i, c in enumerate(residual_colors):
-                colors[vmap[i]] = next_color + c
-            used = tuple(range(next_color, next_color + max(residual_colors) + 1))
-            layers.append(ColorLayer(remaining, 0, "fallback-exact", used))
-            next_color += max(residual_colors) + 1
-            fallback = True
-            break
-        a_glob = mask_of(vmap[i] for i in bits(d.a))
-        b_glob = mask_of(vmap[i] for i in bits(d.b))
-        sub_a, amap = g.induced(a_glob)
-        layer_colors = exact_coloring(sub_a, coloring_cap)
-        k = max(layer_colors) + 1 if layer_colors else 0
-        if k != clique_number(sub_a):
+        fallback = d is None
+        a, b, strategy = (remaining, 0, "fallback-exact") if fallback else (d.a, d.b, d.strategy)
+        layer_colors = _exact_coloring(g.adj, a, coloring_cap)
+        k = max(layer_colors) + 1
+        if not fallback and k != _max_clique_size(g.adj, a):
             raise InvariantError("perfect layer did not colour with omega colours")
-        for i, c in enumerate(layer_colors):
-            colors[amap[i]] = next_color + c
-        layers.append(
-            ColorLayer(a_glob, b_glob, d.strategy, tuple(range(next_color, next_color + k)))
-        )
+        for v in bits(a):
+            colors[v] = next_color + layer_colors[v]
+        layers.append(ColorLayer(a, b, strategy, tuple(range(next_color, next_color + k))))
         next_color += k
-        remaining = b_glob
+        remaining = b
     omega = clique_number(g)
     return ColoringCertificate(
         colors=tuple(colors),
@@ -355,6 +349,15 @@ def _dfs_tree_edges(g: Graph) -> set[tuple[int, int]]:
     return tree
 
 
+def _line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
+    """g.line_graph(), for connected g with at least one edge only."""
+    if g.n < 2:
+        raise ValueError("line_graph_division needs at least one edge")
+    if not g.is_connected():
+        raise ValueError("line_graph_division needs a connected graph")
+    return g.line_graph()
+
+
 def line_graph_division(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...], Division]:
     """Divide the line graph of connected g: a depth-first spanning tree's
     edges induce the perfect side.
@@ -363,11 +366,7 @@ def line_graph_division(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...], D
     and when the maximum degree is 3 a triangle avoiding the tree would
     force a degree-4 vertex, so the clique number always drops on the rest.
     """
-    if g.n < 2:
-        raise ValueError("line_graph_division needs at least one edge")
-    if not g.is_connected():
-        raise ValueError("line_graph_division needs a connected graph")
-    lg, edge_list = g.line_graph()
+    lg, edge_list = _line_graph(g)
     tree = _dfs_tree_edges(g)
     a = mask_of(i for i, e in enumerate(edge_list) if e in tree)
     b = lg.vertex_mask & ~a

@@ -18,14 +18,14 @@ from . import formats
 from .decomposition import find_homogeneous_set
 from .divisibility import is_perfectly_divisible_exact, line_graph_division, color_by_division
 from .graph import Graph, bits, canonical_form
-from .limits import DEFAULT_CAPS, CapacityError
+from .limits import DEFAULT_CAPS, CapacityError, InvariantError
 from .oracles import (
     chromatic_number,
     clique_number,
     find_odd_hole,
     is_perfect_induced,
 )
-from .patterns import CLASS_BOUNDS, find_induced, pattern
+from .patterns import CLASS_BOUNDS, _claw_triple, find_induced, pattern
 
 # enumeration is append-only: level k holds all non-isomorphic graphs on k
 # vertices in first-seen order
@@ -103,15 +103,8 @@ def _pd_exact(g: Graph) -> bool:
 
 
 def _claw_centers(g: Graph) -> list[int]:
-    """Vertices with three pairwise non-adjacent neighbours u < w < x."""
-    out = []
-    for v, nb in enumerate(g.adj):
-        for u in bits(nb):
-            rest = nb & ~g.adj[u] & -(2 << u)  # non-neighbours of u above u
-            if any(rest & ~g.adj[w] & -(2 << w) for w in bits(rest)):
-                out.append(v)
-                break
-    return out
+    """Vertices with three pairwise non-adjacent neighbours."""
+    return [v for v in range(g.n) if _claw_triple(g.adj, v) is not None]
 
 
 # -- the checks ----------------------------------------------------------
@@ -247,13 +240,10 @@ def _t8(g: Graph) -> Outcome:
 def _t9(g: Graph) -> Outcome:
     if not (2 <= g.n <= 6 and g.is_connected()):
         return Outcome(False)
-    lg, _, d = line_graph_division(g)
-    # the constructor re-checks with oracles; re-derive the key facts anyway
-    if not is_perfect_induced(lg, d.a):
-        return Outcome(True, failure={"side": "a", "a": sorted(bits(d.a))})
-    sub_b, _ = lg.induced(d.b)
-    if lg.n and clique_number(sub_b) >= clique_number(lg):
-        return Outcome(True, failure={"side": "b", "b": sorted(bits(d.b))})
+    try:
+        lg, _, _ = line_graph_division(g)  # certified by the oracles
+    except InvariantError as exc:
+        return Outcome(True, failure={"certificate": str(exc)})
     if lg.n <= DEFAULT_CAPS.exact_divisibility and not _pd_exact(lg):
         return Outcome(True, failure={"line_graph_not_perfectly_divisible": True})
     return Outcome(True)

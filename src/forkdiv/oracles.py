@@ -60,14 +60,18 @@ def clique_number(g: Graph) -> int:
 
 def max_clique(g: Graph) -> int:
     """Lexicographically smallest maximum clique, as a bitmask."""
-    w = clique_number(g)
+    return _max_clique(g.adj, g.vertex_mask)
+
+
+def _max_clique(adj, mask):
+    w = _max_clique_size(adj, mask)
     chosen = 0
-    cand = g.vertex_mask
+    cand = mask
     for _ in range(w):
         for v in bits(cand):
-            rest = cand & g.adj[v]
+            rest = cand & adj[v]
             need = w - chosen.bit_count() - 1
-            if _max_clique_size(g.adj, rest, stop_at=need) >= need:
+            if _max_clique_size(adj, rest, stop_at=need) >= need:
                 chosen |= 1 << v
                 cand = rest
                 break
@@ -156,23 +160,26 @@ def exact_coloring(g: Graph, cap: int = DEFAULT_CAPS.coloring) -> tuple[int, ...
 
     Clique-seeded saturation-degree branch and bound; deterministic.
     """
-    n = g.n
-    if n > cap:
-        raise CapacityError("exact_coloring", n, cap)
-    if n == 0:
-        return ()
-    adj = g.adj
-    degrees = [g.degree(v) for v in range(n)]
-    seed = max_clique(g)
+    return tuple(_exact_coloring(g.adj, g.vertex_mask, cap))
+
+
+def _exact_coloring(adj, mask, cap):
+    """exact_coloring of the subgraph induced on mask, as a list over all
+    rows of adj; vertices outside mask keep colour -1."""
+    if mask.bit_count() > cap:
+        raise CapacityError("exact_coloring", mask.bit_count(), cap)
+    adj = [row & mask for row in adj]
+    degrees = [row.bit_count() for row in adj]
+    seed = _max_clique(adj, mask)
     lb = seed.bit_count()
 
-    colors = [-1] * n
+    colors = [-1] * len(adj)
     for i, v in enumerate(bits(seed)):
         colors[v] = i
 
     # greedy DSATUR completion gives the initial upper bound
     greedy = colors.copy()
-    uncolored = g.vertex_mask & ~seed
+    uncolored = mask & ~seed
     while uncolored:
         v = _dsatur_order_pick(adj, greedy, uncolored, degrees)
         used = {greedy[u] for u in bits(adj[v]) if greedy[u] >= 0}
@@ -181,10 +188,10 @@ def exact_coloring(g: Graph, cap: int = DEFAULT_CAPS.coloring) -> tuple[int, ...
             c += 1
         greedy[v] = c
         uncolored &= ~(1 << v)
-    best_k = max(greedy) + 1
+    best_k = max(greedy, default=-1) + 1
     best = greedy
     if best_k == lb:
-        return tuple(best)
+        return best
 
     def solve(uncolored, used_k):
         nonlocal best, best_k
@@ -207,8 +214,8 @@ def exact_coloring(g: Graph, cap: int = DEFAULT_CAPS.coloring) -> tuple[int, ...
             solve(uncolored & ~(1 << v), used_k + 1)
             colors[v] = -1
 
-    solve(g.vertex_mask & ~seed, lb)
-    return tuple(best)
+    solve(mask & ~seed, lb)
+    return best
 
 
 def chromatic_number(g: Graph, cap: int = DEFAULT_CAPS.coloring) -> int:

@@ -204,15 +204,21 @@ def is_free(host: Graph, names) -> tuple[bool, PatternWitness | None]:
 def claw_center(g: Graph) -> tuple[int, tuple[int, int, int]] | None:
     """Smallest vertex with three pairwise nonadjacent neighbours, plus the
     lexicographically least such triple."""
-    import itertools
-
     for v in range(g.n):
-        nbrs = list(bits(g.adj[v]))
-        if len(nbrs) < 3:
-            continue
-        for a, b, c in itertools.combinations(nbrs, 3):
-            if not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c)):
-                return v, (a, b, c)
+        if (triple := _claw_triple(g.adj, v)) is not None:
+            return v, triple
+    return None
+
+
+def _claw_triple(adj, v) -> tuple[int, int, int] | None:
+    """The lexicographically least three pairwise nonadjacent neighbours of
+    v, or None: the least a with a completion, then the least b, then c."""
+    nb = adj[v]
+    for a in bits(nb):
+        rest = nb & ~adj[a] & -(2 << a)  # neighbours of v above a, not adjacent to a
+        for b in bits(rest):
+            if third := rest & ~adj[b] & -(2 << b):
+                return a, b, (third & -third).bit_length() - 1
     return None
 
 

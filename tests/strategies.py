@@ -34,3 +34,9 @@ def weighted_graphs(draw, min_n: int = 1, max_n: int = 6, max_w: int = 5):
     g = draw(graphs(min_n, max_n))
     w = tuple(draw(st.integers(0, max_w)) for _ in range(g.n))
     return g, w
+
+
+@st.composite
+def graphs_with_masks(draw, max_n: int = 8):
+    g = draw(graphs(max_n=max_n))
+    return g, draw(st.integers(0, g.vertex_mask))

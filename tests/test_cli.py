@@ -275,13 +275,26 @@ def test_linegraph_certificate_failure_exits_1(capsys, monkeypatch):
         return real(g)
 
     monkeypatch.setattr(cli, "line_graph_division", broken)
-    code, out, _ = run_cli(["linegraph", "-"], capsys, stdin=C5 + "\n", monkeypatch=monkeypatch)
+    code, out, _ = run_cli(["linegraph", "--divide", "-"], capsys, stdin=C5 + "\n", monkeypatch=monkeypatch)
     assert code == 1
     assert json.loads(out)["results"][0]["error"] == "spanning-tree: side A is not perfect"
     # an input error in the same batch outranks the finding
     batch = emit_graph6(Graph.empty(3)) + "\n" + C5 + "\n"
-    code, _, _ = run_cli(["linegraph", "-"], capsys, stdin=batch, monkeypatch=monkeypatch)
+    code, _, _ = run_cli(["linegraph", "--divide", "-"], capsys, stdin=batch, monkeypatch=monkeypatch)
     assert code == 2
+
+
+def test_linegraph_without_divide_certifies_nothing(capsys, monkeypatch):
+    # the division of L(C19) is over the odd-hole cap, but only the line
+    # graph is asked for
+    c19 = emit_graph6(Graph.cycle(19))
+    code, out, _ = run_cli(["linegraph", "-"], capsys, stdin=c19 + "\n", monkeypatch=monkeypatch)
+    assert code == 0
+    (row,) = json.loads(out)["results"]
+    assert set(row) == {"graph6", "line_graph6", "edge_order"}
+    lg = parse_graph6(row["line_graph6"])
+    assert lg.is_connected() and [lg.degree(v) for v in range(lg.n)] == [2] * 19
+    assert row["edge_order"] == [list(e) for e in Graph.cycle(19).edges()]
 
 
 def test_malformed_input_is_usage_error(capsys, monkeypatch):

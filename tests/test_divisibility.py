@@ -6,6 +6,7 @@ import bruteforce
 from forkdiv import divisibility, formats
 from forkdiv.divisibility import (
     _certify,
+    _divide_mask,
     _divide_with_module,
     _division_scan,
     _imperfect_table,
@@ -17,10 +18,11 @@ from forkdiv.divisibility import (
     perfect_division,
 )
 from forkdiv.graph import Graph, bits, mask_of
+from forkdiv.harness import random_gnp
 from forkdiv.limits import CapacityError, InvariantError
 from forkdiv.oracles import chromatic_number, clique_number, is_perfect
 from forkdiv.patterns import has_induced
-from strategies import connected_graphs, graphs, weighted_graphs
+from strategies import connected_graphs, graphs, graphs_with_masks, weighted_graphs
 from test_oracles import petersen
 
 # triangle-free with chi = 4, so no side A can leave a bipartite rest;
@@ -133,6 +135,17 @@ def test_exhaustive_branch_takes_largest_perfect_side(monkeypatch):
     _revalidate(g, d)
     with pytest.raises(CapacityError):
         perfect_division(g, exhaustive_cap=4)
+
+
+def test_exhaustive_division_of_a_mask_maps_back_to_the_host(monkeypatch):
+    monkeypatch.setattr(divisibility, "_divide_support", lambda g, u_mask, w: None)
+    # a C5 on the scattered vertices 1, 3, 4, 6, 7, each with a pendant or
+    # neighbour outside the mask
+    edges = [(1, 3), (3, 4), (4, 6), (6, 7), (7, 1), (0, 1), (2, 4), (5, 6)]
+    g = Graph.from_edges(8, edges)
+    d = _divide_mask(g, mask_of([1, 3, 4, 6, 7]), 12)
+    assert d.strategy == "exhaustive"
+    assert sorted(bits(d.a)) == [3, 4, 6, 7] and sorted(bits(d.b)) == [1]
 
 
 @given(graphs())
@@ -302,6 +315,46 @@ def test_coloring_falls_back_when_division_is_impossible():
     assert cert.palette == 4
     for u, v in g.edges():
         assert cert.colors[u] != cert.colors[v]
+
+
+@pytest.mark.parametrize("exhaustive_only", [False, True])
+@given(gm=graphs_with_masks())
+def test_division_of_a_mask_matches_the_induced_copy(exhaustive_only, gm):
+    g, mask = gm
+    with pytest.MonkeyPatch.context() as mp:
+        if exhaustive_only:
+            # every imperfect mask then reaches the submask scan on a compact copy
+            mp.setattr(divisibility, "_divide_support", lambda g, u_mask, w: None)
+        h, vmap = g.induced(mask)
+        want = perfect_division(h)
+        got = _divide_mask(g, mask, 12)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.a == mask_of(vmap[i] for i in bits(want.a))
+        assert got.b == mask_of(vmap[i] for i in bits(want.b))
+        assert (got.strategy, got.omega_b, got.omega) == (want.strategy, want.omega_b, want.omega)
+        assert got.pivot == (None if want.pivot is None else vmap[want.pivot])
+
+
+def test_coloring_builds_no_graph(monkeypatch):
+    # layers are masks of the host graph: no induced copy, no index map
+    hosts = [Graph.cycle(5).disjoint_union(Graph.cycle(7)), petersen()]
+    hosts += [random_gnp(16, 0.8, seed) for seed in (2, 4, 8)]
+    assert not any(has_induced(g, "fork") for g in hosts[2:])
+    built = 0
+    post_init = Graph.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    Graph.empty(1)
+    assert built == 1  # the counter sees constructions
+    for g in hosts:
+        color_by_division(g)
+    assert built == 1
 
 
 @given(graphs(min_n=1))

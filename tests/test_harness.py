@@ -6,6 +6,7 @@ from hypothesis import given
 
 from forkdiv.formats import emit_graph6
 from forkdiv.graph import Graph, bits, canonical_form
+from forkdiv import harness
 from forkdiv.harness import (
     CHECKS,
     _claw_centers,
@@ -15,7 +16,8 @@ from forkdiv.harness import (
     run_all,
     run_check,
 )
-from forkdiv.limits import CapacityError
+from forkdiv.limits import CapacityError, InvariantError
+from forkdiv.patterns import claw_center
 from strategies import graphs
 
 
@@ -74,15 +76,21 @@ def test_claw_centers_golden():
 
 @given(graphs(max_n=9))
 def test_claw_centers_match_stable_triples(g):
-    want = [
-        v
-        for v in range(g.n)
-        if any(
-            not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c))
-            for a, b, c in combinations(bits(g.adj[v]), 3)
+    # first stable triple of N(v) in combinations order, per vertex v
+    triples = {
+        v: next(
+            (
+                (a, b, c)
+                for a, b, c in combinations(bits(g.adj[v]), 3)
+                if not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c))
+            ),
+            None,
         )
-    ]
+        for v in range(g.n)
+    }
+    want = [v for v, t in triples.items() if t is not None]
     assert _claw_centers(g) == want
+    assert claw_center(g) == (None if not want else (want[0], triples[want[0]]))
 
 
 def test_registry_contents():
@@ -138,3 +146,23 @@ def test_reports_are_deterministic():
     a = [r.to_json() for r in run_all(corpus, "tiny")]
     b = [r.to_json() for r in run_all(corpus, "tiny")]
     assert a == b
+
+
+def test_t9_records_a_failed_certificate_and_the_run_goes_on(monkeypatch):
+    corpus = graphs_up_to(4)
+    p3 = next(g for g in corpus if g.n == 3 and g.edge_count == 2)
+    real = harness.line_graph_division
+
+    def broken(g):
+        if g == p3:
+            raise InvariantError("spanning-tree: side A is not perfect")
+        return real(g)
+
+    monkeypatch.setattr(harness, "line_graph_division", broken)
+    reports = run_all(corpus, "tiny")
+    assert [r.check_id for r in reports] == list(CHECKS)
+    t9 = reports[list(CHECKS).index("T9")]
+    detail = {"certificate": "spanning-tree: side A is not perfect"}
+    assert t9.counterexamples == [{"graph6": emit_graph6(p3), "detail": detail}]
+    assert t9.hypothesis_matches > 1
+    assert all(r.passed for r in reports if r.check_id != "T9")

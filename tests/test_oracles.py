@@ -7,6 +7,7 @@ import bruteforce
 from forkdiv.graph import Graph, bits, mask_of
 from forkdiv.limits import CapacityError
 from forkdiv.oracles import (
+    _exact_coloring,
     chromatic_number,
     clique_number,
     exact_coloring,
@@ -18,7 +19,7 @@ from forkdiv.oracles import (
     max_clique,
     max_weight_clique,
 )
-from strategies import graphs, weighted_graphs
+from strategies import graphs, graphs_with_masks, weighted_graphs
 
 
 def petersen() -> Graph:
@@ -108,6 +109,23 @@ def test_exact_coloring_is_proper_and_minimum(g):
     for u, v in g.edges():
         assert colors[u] != colors[v]
     assert chi == bruteforce.chi(g)
+
+
+@given(graphs_with_masks())
+def test_exact_coloring_on_a_mask_matches_the_induced_copy(gm):
+    g, mask = gm
+    h, vmap = g.induced(mask)
+    want = [-1] * g.n
+    for i, c in enumerate(exact_coloring(h)):
+        want[vmap[i]] = c
+    assert _exact_coloring(g.adj, mask, 16) == want
+
+
+def test_exact_coloring_on_a_mask_takes_degrees_within_the_mask():
+    # 2K2 on the mask {0, 1, 3, 4}; vertex 4 has a second neighbour, 2,
+    # outside it, so it must not win the DSATUR tie against vertex 1
+    g = Graph.from_edges(5, [(0, 3), (1, 4), (2, 4)])
+    assert _exact_coloring(g.adj, 0b11011, 16) == [0, 0, -1, 1, 1]
 
 
 @given(graphs(min_n=1, max_n=6))

@@ -75,6 +75,7 @@ def test_is_free_golden_cases():
 
 def test_claw_center_golden_cases():
     assert claw_center(Graph.complete_bipartite(1, 3)) == (0, (1, 2, 3))
+    assert claw_center(Graph.complete_bipartite(1, 5)) == (0, (1, 2, 3))
     assert claw_center(Graph.cycle(7)) is None
     # the fork's claw sits at its degree-3 vertex
     v, _ = claw_center(pattern("fork"))
