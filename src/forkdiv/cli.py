@@ -6,10 +6,14 @@ Every subcommand that analyses graphs emits one JSON envelope on stdout:
 
 timing_s stays null unless --timing is passed, so repeated runs on the same
 input are byte-identical.  Exit codes: 0 ok, 1 a check failed or a
-counterexample/invariant violation surfaced, 2 usage or input errors, or
-(divide, color, oracle, linegraph) a graph of the batch over a capacity
-cap, or (linegraph) one that is disconnected or has no edge: that graph's
-row carries the error and every other row is still computed.
+counterexample/invariant violation surfaced, 2 usage or input errors.
+
+The per-graph commands (detect, classify, divide, color, oracle, linegraph)
+share one error-row policy: a graph over a capacity cap or invalid for the
+command gives its row an "error" and exit 2, a failed certificate or a
+graph with no answer (divide: no perfect division) does so with exit 1,
+2 outranks 1, and every other row is still computed.  Usage errors found
+before any row (an unknown pattern, a bad weights file) write no envelope.
 """
 
 from __future__ import annotations
@@ -108,31 +112,48 @@ def _emit(payload) -> None:
     sys.stdout.write("\n")
 
 
+def _batch(args, graphs, meta, started, answer, blank=()):
+    """Emit one row per graph, graph6 first, then the fields answer(g) returns.
+
+    The error-row policy of every per-graph command: a graph over a cap or
+    invalid for the command (CapacityError, ValueError) becomes a row whose
+    "error" carries the message, exit 2; a failed certificate
+    (InvariantError), or an answer that carries its own "error", exit 1;
+    2 outranks 1.  On an exception the blank fields are set to null ahead
+    of "error".
+    """
+    results = []
+    code = 0
+    for g in graphs:
+        row = {"graph6": formats.emit_graph6(g)}
+        try:
+            row.update(answer(g))
+        except (CapacityError, ValueError, InvariantError) as exc:
+            row.update(dict.fromkeys(blank), error=str(exc))
+            code = max(code, 1 if isinstance(exc, InvariantError) else 2)
+        else:
+            if "error" in row:
+                code = max(code, 1)
+        results.append(row)
+    _emit(_envelope(args.command, meta, results, started))
+    return code
+
+
 def _cmd_detect(args, started):
     graphs, meta = _read_graphs(args.input, args.format)
     pat = pattern(args.pattern)
-    results = []
-    for g in graphs:
+
+    def answer(g):
         w = find_induced(g, pat, args.pattern)
-        results.append(
-            {
-                "graph6": formats.emit_graph6(g),
-                "pattern": args.pattern,
-                "present": w is not None,
-                "witness": list(w.mapping) if w else None,
-            }
-        )
-    _emit(_envelope("detect", meta, results, started))
-    return 0
+        return {"pattern": args.pattern, "present": w is not None,
+                "witness": list(w.mapping) if w else None}
+
+    return _batch(args, graphs, meta, started, answer)
 
 
 def _cmd_classify(args, started):
     graphs, meta = _read_graphs(args.input, args.format)
-    results = [
-        {"graph6": formats.emit_graph6(g), **classify(g).to_json()} for g in graphs
-    ]
-    _emit(_envelope("classify", meta, results, started))
-    return 0
+    return _batch(args, graphs, meta, started, lambda g: classify(g).to_json())
 
 
 def _load_weights(path: str, n: int):
@@ -150,44 +171,24 @@ def _load_weights(path: str, n: int):
 
 def _cmd_divide(args, started):
     graphs, meta = _read_graphs(args.input, args.format)
-    if args.weights and len(graphs) != 1:
-        raise _UsageError("--weights applies to a single-graph input")
-    results = []
-    code = 0
-    for g in graphs:
-        row = {"graph6": formats.emit_graph6(g)}
-        try:
-            if args.weights:
-                d = divide_weighted(g, _load_weights(args.weights, g.n))
-            else:
-                d = perfect_division(g)
-        except CapacityError as exc:
-            row.update(division=None, error=str(exc))
-            code = 2
-        else:
-            row["division"] = d.to_json() if d else None
-            if d is None:
-                row["error"] = "no perfect division exists"
-                code = max(code, 1)
-        results.append(row)
-    _emit(_envelope("divide", meta, results, started))
-    return code
+    weights = None
+    if args.weights:
+        if len(graphs) != 1:
+            raise _UsageError("--weights applies to a single-graph input")
+        weights = _load_weights(args.weights, graphs[0].n)
+
+    def answer(g):
+        d = perfect_division(g) if weights is None else divide_weighted(g, weights)
+        if d is None:
+            return {"division": None, "error": "no perfect division exists"}
+        return {"division": d.to_json()}
+
+    return _batch(args, graphs, meta, started, answer, blank=("division",))
 
 
 def _cmd_color(args, started):
     graphs, meta = _read_graphs(args.input, args.format)
-    results = []
-    code = 0
-    for g in graphs:
-        row = {"graph6": formats.emit_graph6(g)}
-        try:
-            row.update(color_by_division(g).to_json())
-        except CapacityError as exc:
-            row["error"] = str(exc)
-            code = 2
-        results.append(row)
-    _emit(_envelope("color", meta, results, started))
-    return code
+    return _batch(args, graphs, meta, started, lambda g: color_by_division(g).to_json())
 
 
 _ORACLES = {
@@ -202,18 +203,8 @@ _ORACLES = {
 def _cmd_oracle(args, started):
     graphs, meta = _read_graphs(args.input, args.format)
     field = args.question.replace("-", "_")
-    results = []
-    code = 0
-    for g in graphs:
-        row = {"graph6": formats.emit_graph6(g)}
-        try:
-            row[field] = _ORACLES[args.question](g)
-        except CapacityError as exc:
-            row.update({field: None, "error": str(exc)})
-            code = 2
-        results.append(row)
-    _emit(_envelope("oracle", meta, results, started))
-    return code
+    oracle = _ORACLES[args.question]
+    return _batch(args, graphs, meta, started, lambda g: {field: oracle(g)}, blank=(field,))
 
 
 def _cmd_gen(args, started):
@@ -256,24 +247,15 @@ def _cmd_verify(args, started):
 
 def _cmd_linegraph(args, started):
     graphs, meta = _read_graphs(args.input, args.format)
-    results = []
-    code = 0
-    for g in graphs:
-        row = {"graph6": formats.emit_graph6(g)}
-        try:
-            lg, edge_list, d = line_graph_division(g) if args.divide else (*_line_graph(g), None)
-        except (InvariantError, ValueError, CapacityError) as exc:
-            # a failed certificate is a finding; the rest are input errors
-            row["error"] = str(exc)
-            code = max(code, 1 if isinstance(exc, InvariantError) else 2)
-        else:
-            row["line_graph6"] = formats.emit_graph6(lg)
-            row["edge_order"] = [list(e) for e in edge_list]
-            if d is not None:
-                row["division"] = d.to_json()
-        results.append(row)
-    _emit(_envelope("linegraph", meta, results, started))
-    return code
+
+    def answer(g):
+        lg, edge_list, d = line_graph_division(g) if args.divide else (*_line_graph(g), None)
+        row = {"line_graph6": formats.emit_graph6(lg), "edge_order": [list(e) for e in edge_list]}
+        if d is not None:
+            row["division"] = d.to_json()
+        return row
+
+    return _batch(args, graphs, meta, started, answer)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,18 +330,12 @@ def main(argv=None) -> int:
     started = time.perf_counter() if args.timing else None
     try:
         return args.run(args, started)
-    except _UsageError as exc:
-        print(f"forkdiv: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (_UsageError, ValueError, CapacityError) as exc:
         print(f"forkdiv: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:
         print(f"forkdiv: invariant violated: {exc}", file=sys.stderr)
         return 1
-    except CapacityError as exc:
-        print(f"forkdiv: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         return 0
 

@@ -22,6 +22,7 @@ from .graph import Graph, bits, mask_of
 from .limits import DEFAULT_CAPS, CapacityError, InvariantError
 from .oracles import (
     _check_weights,
+    _co_rows,
     _exact_coloring,
     _max_clique_size,
     _max_weight_value,
@@ -197,8 +198,7 @@ def _imperfect_table(g: Graph) -> bytes:
     size = 1 << g.n
     full = g.vertex_mask
     marks = bytearray(size)
-    co_rows = [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
-    for rows in (g.adj, co_rows):
+    for rows in (g.adj, _co_rows(g.adj, full)):
         for hole in _odd_holes(rows, full):
             marks[hole] = 1
     x = int.from_bytes(marks, "little")

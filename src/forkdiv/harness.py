@@ -107,6 +107,16 @@ def _claw_centers(g: Graph) -> list[int]:
     return [v for v in range(g.n) if _claw_triple(g.adj, v) is not None]
 
 
+def _imperfect_non_neighborhood(g: Graph, vertices, key: str) -> dict | None:
+    """Failure detail naming the first of vertices whose non-neighbourhood
+    M(v) is not perfect, or None when every such M(v) is perfect."""
+    for v in vertices:
+        m_v = g.non_neighborhood(v)
+        if not is_perfect_induced(g, m_v):
+            return {key: v, "m_v": sorted(bits(m_v))}
+    return None
+
+
 # -- the checks ----------------------------------------------------------
 
 
@@ -157,13 +167,7 @@ def _t3(g: Graph) -> Outcome:
     centers = _claw_centers(g)
     if not centers:
         return Outcome(False)
-    for v in centers:
-        if not is_perfect_induced(g, g.non_neighborhood(v)):
-            return Outcome(
-                True,
-                failure={"claw_center": v, "m_v": sorted(bits(g.non_neighborhood(v)))},
-            )
-    return Outcome(True)
+    return Outcome(True, failure=_imperfect_non_neighborhood(g, centers, "claw_center"))
 
 
 def _t4(g: Graph) -> Outcome:
@@ -171,13 +175,7 @@ def _t4(g: Graph) -> Outcome:
         return Outcome(False)
     if _homogeneous(g) is not None:
         return Outcome(True)
-    for v in range(g.n):
-        if not is_perfect_induced(g, g.non_neighborhood(v)):
-            return Outcome(
-                True,
-                failure={"vertex": v, "m_v": sorted(bits(g.non_neighborhood(v)))},
-            )
-    return Outcome(True)
+    return Outcome(True, failure=_imperfect_non_neighborhood(g, range(g.n), "vertex"))
 
 
 def _t5(g: Graph) -> Outcome:
@@ -207,13 +205,7 @@ def _t7(g: Graph) -> Outcome:
         return Outcome(False)
     if _free(g, "claw") or _homogeneous(g) is not None:
         return Outcome(True)
-    for u in range(g.n):
-        if not is_perfect_induced(g, g.non_neighborhood(u)):
-            return Outcome(
-                True,
-                failure={"vertex": u, "m_v": sorted(bits(g.non_neighborhood(u)))},
-            )
-    return Outcome(True)
+    return Outcome(True, failure=_imperfect_non_neighborhood(g, range(g.n), "vertex"))
 
 
 def _t8(g: Graph) -> Outcome:

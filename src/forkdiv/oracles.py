@@ -79,7 +79,12 @@ def _max_clique(adj, mask):
 
 
 def independence_number(g: Graph) -> int:
-    return clique_number(g.complement())
+    return _max_clique_size(_co_rows(g.adj, g.vertex_mask), g.vertex_mask)
+
+
+def _co_rows(adj, mask):
+    """Adjacency rows of the complement of the graph induced on mask."""
+    return [mask & ~row & ~(1 << v) for v, row in enumerate(adj)]
 
 
 def _check_weights(g, weights):
@@ -256,13 +261,17 @@ def _odd_holes(rows, mask):
 
 def find_odd_hole(g: Graph, cap: int = DEFAULT_CAPS.odd_hole) -> int | None:
     """Vertex bitmask of an induced odd cycle of length >= 5, or None."""
-    if g.n > cap:
-        raise CapacityError("find_odd_hole", g.n, cap)
-    return next(_odd_holes(g.adj, g.vertex_mask), None)
+    return _first_odd_hole(g.adj, g.vertex_mask, cap)
 
 
 def find_odd_antihole(g: Graph, cap: int = DEFAULT_CAPS.odd_hole) -> int | None:
-    return find_odd_hole(g.complement(), cap)
+    return _first_odd_hole(_co_rows(g.adj, g.vertex_mask), g.vertex_mask, cap)
+
+
+def _first_odd_hole(rows, mask, cap):
+    if mask.bit_count() > cap:
+        raise CapacityError("find_odd_hole", mask.bit_count(), cap)
+    return next(_odd_holes(rows, mask), None)
 
 
 def is_perfect(g: Graph, cap: int = DEFAULT_CAPS.odd_hole) -> bool:
@@ -274,9 +283,5 @@ def is_perfect_induced(g: Graph, mask: int, cap: int = DEFAULT_CAPS.odd_hole) ->
     """Whether G[mask] has no odd hole and no odd antihole."""
     if mask & ~g.vertex_mask:
         raise IndexError("subset mask has bits outside the vertex range")
-    if mask.bit_count() > cap:
-        raise CapacityError("find_odd_hole", mask.bit_count(), cap)
-    if next(_odd_holes(g.adj, mask), None) is not None:
-        return False
-    co_rows = [mask & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
-    return next(_odd_holes(co_rows, mask), None) is None
+    return (_first_odd_hole(g.adj, mask, cap) is None
+            and _first_odd_hole(_co_rows(g.adj, mask), mask, cap) is None)

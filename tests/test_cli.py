@@ -14,6 +14,7 @@ from forkdiv.formats import emit_graph6, parse_graph6
 from forkdiv.graph import Graph, are_isomorphic
 from forkdiv.harness import enumerate_nonisomorphic
 from forkdiv.limits import InvariantError
+from test_oracles import petersen
 
 C5 = emit_graph6(Graph.cycle(5))          # "DqK" shape; derived via emit
 MYCIELSKI = "JhdLA_gc?N_"                 # triangle-free, chi = 4, no division
@@ -141,6 +142,43 @@ def test_oracle_batch_keeps_going_past_a_capped_graph(question, field, answer, m
     first, over, last = json.loads(out)["results"]
     assert first == last == {"graph6": C5, field: answer}
     assert over == {"graph6": big, field: None, "error": message}
+
+
+@pytest.mark.parametrize("command, engine", [("divide", "perfect_division"), ("color", "color_by_division")])
+def test_failed_certificate_is_an_error_row(command, engine, capsys, monkeypatch):
+    real = getattr(cli, engine)
+    pet = petersen()
+
+    def broken(g):
+        if g == pet:
+            raise InvariantError("perfect-whole: side A is not perfect")
+        return real(g)
+
+    monkeypatch.setattr(cli, engine, broken)
+    batch = "\n".join([C5, emit_graph6(pet), C5]) + "\n"
+    code, out, _ = run_cli([command, "-"], capsys, stdin=batch, monkeypatch=monkeypatch)
+    assert code == 1
+    first, bad, last = json.loads(out)["results"]
+    assert first == last and "error" not in first
+    blank = {"division": None} if command == "divide" else {}
+    assert bad == {"graph6": emit_graph6(pet), **blank, "error": "perfect-whole: side A is not perfect"}
+
+    # an oversized graph in the same batch outranks the finding
+    big = emit_graph6(Graph.cycle(13).disjoint_union(Graph.cycle(5)))
+    code, out, _ = run_cli([command, "-"], capsys, stdin=batch + big + "\n", monkeypatch=monkeypatch)
+    assert code == 2
+    assert len(json.loads(out)["results"]) == 4
+
+
+def test_all_zero_weights_is_an_error_row(tmp_path, capsys, monkeypatch):
+    wfile = tmp_path / "w.json"
+    wfile.write_text("[0, 0, 0]")
+    p3 = emit_graph6(Graph.path(3))
+    code, out, _ = run_cli(["divide", "--weights", str(wfile), "-"], capsys, stdin=p3 + "\n", monkeypatch=monkeypatch)
+    assert code == 2
+    assert payload(out)["results"] == [
+        {"graph6": p3, "division": None, "error": "weights must not be identically zero"}
+    ]
 
 
 def test_divide_weighted(tmp_path, capsys, monkeypatch):

@@ -166,3 +166,26 @@ def test_t9_records_a_failed_certificate_and_the_run_goes_on(monkeypatch):
     assert t9.counterexamples == [{"graph6": emit_graph6(p3), "detail": detail}]
     assert t9.hypothesis_matches > 1
     assert all(r.passed for r in reports if r.check_id != "T9")
+
+
+@pytest.mark.parametrize(
+    "check, n, edges, rejected, detail",
+    [
+        # claw centre 4 with M(4) = {3}
+        ("T3", 5, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 4)], [3], {"claw_center": 4, "m_v": [3]}),
+        # the path 2-0-3-1 has no homogeneous set; M(0) = {1} stays perfect
+        ("T4", 4, [(0, 2), (0, 3), (1, 3)], [0, 2], {"vertex": 1, "m_v": [0, 2]}),
+        # claws at 0 and 5 and no homogeneous set; M(3) is the first rejected
+        ("T7", 6, [(0, 3), (0, 4), (0, 5), (1, 3), (1, 5), (2, 4), (2, 5)], [2, 4, 5],
+         {"vertex": 3, "m_v": [2, 4, 5]}),
+    ],
+)
+def test_imperfect_non_neighborhood_is_the_failure_detail(check, n, edges, rejected, detail, monkeypatch):
+    g = Graph.from_edges(n, edges)
+    assert CHECKS[check].evaluate(g).failure is None
+    reject = sum(1 << v for v in rejected)
+    monkeypatch.setattr(harness, "is_perfect_induced", lambda g, mask: mask != reject)
+    out = CHECKS[check].evaluate(g)
+    assert out.matched
+    assert out.failure == detail
+    assert list(out.failure) == list(detail)

@@ -137,6 +137,26 @@ def test_omega_at_most_chi(g):
 def test_alpha_is_omega_of_complement(g):
     assert independence_number(g) == clique_number(g.complement())
     assert independence_number(g) == bruteforce.alpha(g)
+    assert find_odd_antihole(g) == find_odd_hole(g.complement())
+
+
+def test_complement_oracles_build_no_graph(monkeypatch):
+    # both run on complement rows of the host graph, not on a complement copy
+    hosts = [Graph.cycle(7), Graph.cycle(7).complement(), petersen()]
+    built = 0
+    post_init = Graph.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    Graph.empty(1)
+    assert built == 1  # the counter sees constructions
+    assert [independence_number(g) for g in hosts] == [3, 2, 4]
+    assert [find_odd_antihole(g) for g in hosts] == [None, 0b1111111, 0b11111]
+    assert built == 1
 
 
 def test_odd_hole_golden_cases():
