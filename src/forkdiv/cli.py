@@ -164,7 +164,7 @@ def _load_weights(path: str, n: int):
         raise _UsageError(f"cannot read weights {path}: {exc}") from exc
     if not isinstance(data, list) or len(data) != n:
         raise _UsageError(f"weights must be a JSON list of {n} integers")
-    if not all(isinstance(x, int) and x >= 0 for x in data):
+    if not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in data):
         raise _UsageError("weights must be nonnegative integers")
     return tuple(data)
 

@@ -303,6 +303,7 @@ def color_by_division(
     remaining = g.vertex_mask
     next_color = 0
     fallback = False
+    omega = None  # omega(G), from the first layer's certificate
     while remaining:
         try:
             d = _divide_mask(g, remaining, exhaustive_cap)
@@ -310,6 +311,8 @@ def color_by_division(
             d = None
         fallback = d is None
         a, b, strategy = (remaining, 0, "fallback-exact") if fallback else (d.a, d.b, d.strategy)
+        if omega is None and not fallback:
+            omega = d.omega
         layer_colors = _exact_coloring(g.adj, a, coloring_cap)
         k = max(layer_colors) + 1
         if not fallback and k != _max_clique_size(g.adj, a):
@@ -319,7 +322,8 @@ def color_by_division(
         layers.append(ColorLayer(a, b, strategy, tuple(range(next_color, next_color + k))))
         next_color += k
         remaining = b
-    omega = clique_number(g)
+    if omega is None:  # no vertices, or no division of G at all
+        omega = clique_number(g)
     return ColoringCertificate(
         colors=tuple(colors),
         palette=next_color,

@@ -40,6 +40,8 @@ def enumerate_nonisomorphic(n: int, cap: int = DEFAULT_CAPS.enumeration) -> list
     form.  Any n-vertex graph arises this way from deleting its last
     vertex's image, so the sweep is exhaustive.
     """
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n > cap:
         raise CapacityError("enumerate_nonisomorphic", n, cap)
     while len(_LEVELS) <= n:

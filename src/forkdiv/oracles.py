@@ -2,8 +2,10 @@
 
 Clique and weighted clique run branch-and-bound with greedy colouring
 bounds, colouring runs a clique-seeded saturation-degree branch-and-bound,
-and odd holes are found by extending induced paths.  Every witness is
-deterministic: ties break toward the lexicographically smallest vertex set.
+and odd holes are found by extending induced paths, each hole once in one
+orientation, with anchors and entries that cannot close a hole pruned.
+Every witness is deterministic: ties break toward the lexicographically
+smallest vertex set.
 """
 
 from __future__ import annotations
@@ -233,30 +235,49 @@ def chromatic_number(g: Graph, cap: int = DEFAULT_CAPS.coloring) -> int:
 
 def _odd_holes(rows, mask):
     """Yield the vertex mask of every induced odd cycle of length >= 5 in the
-    graph that adjacency rows induce on mask (each cycle once per direction).
+    graph that adjacency rows induce on mask, each cycle exactly once.
 
-    Grows induced paths anchored at their smallest vertex, candidates in
-    ascending order; a path can only close through a candidate adjacent to
-    both ends and nothing in between.
+    A hole is taken in one orientation: anchored at its smallest vertex low,
+    entered through first, the smaller of low's two neighbours on it, and
+    closed through the larger, a closer (a neighbour of low above first and
+    not adjacent to first).  Its other vertices lie above low and miss low
+    (far), so induced paths from first grow through far alone, candidates
+    in ascending order.  Pruned, as they can close no hole: an anchor with
+    fewer than two far vertices, an entry with no closer, and a path that
+    leaves every closer adjacent to an interior vertex.
     """
 
-    def extend(low, above, last, used, blocked, length):
-        # blocked: vertices adjacent to an interior vertex of the path
+    def extend(last, used, blocked, length):
+        # blocked: vertices adjacent to an interior vertex before last
         row = rows[last]
         grown = blocked | row
-        for v in bits(row & above & ~used & ~blocked):
-            if rows[v] & low:
-                if length >= 4 and not length & 1:
-                    yield used | 1 << v
+        ends = row & closers & ~blocked if length >= 4 and not length & 1 else 0
+        steps = row & far & ~blocked if closers & ~grown else 0
+        todo = ends | steps
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            if bit & ends:
+                yield used | bit
             else:
-                yield from extend(low, above, v, used | 1 << v, grown, length + 1)
+                yield from extend(bit.bit_length() - 1, used | bit, grown, length + 1)
 
     above = mask
     while above.bit_count() >= 5:
         low = above & -above
         above ^= low
-        for first in bits(rows[low.bit_length() - 1] & above):
-            yield from extend(low, above, first, low | 1 << first, 0, 2)
+        near = rows[low.bit_length() - 1] & above
+        far = above & ~near
+        if far.bit_count() < 2:
+            continue
+        rest = near
+        while rest:
+            entry = rest & -rest
+            rest ^= entry
+            first = entry.bit_length() - 1
+            closers = rest & ~rows[first]
+            if closers:
+                yield from extend(first, low | entry, 0, 2)
 
 
 def find_odd_hole(g: Graph, cap: int = DEFAULT_CAPS.odd_hole) -> int | None:

@@ -4,7 +4,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from forkdiv.graph import Graph
+from forkdiv.graph import Graph, mask_of
 
 
 @st.composite
@@ -40,3 +40,22 @@ def weighted_graphs(draw, min_n: int = 1, max_n: int = 6, max_w: int = 5):
 def graphs_with_masks(draw, max_n: int = 8):
     g = draw(graphs(max_n=max_n))
     return g, draw(st.integers(0, g.vertex_mask))
+
+
+@st.composite
+def graphs_with_hole_masks(draw, max_n: int = 8):
+    """A graph and a vertex mask.  Odd holes are rare in small random graphs,
+    so on five or more vertices a C5 or C7 is often planted as an induced
+    subgraph on drawn vertices, and the mask then keeps them."""
+    g = draw(graphs(max_n=max_n))
+    lengths = [k for k in (5, 7) if k <= g.n]
+    hole = 0
+    if lengths and draw(st.booleans()):
+        cycle = draw(st.permutations(range(g.n)))[:draw(st.sampled_from(lengths))]
+        hole = mask_of(cycle)
+        adj = [row & ~hole if v in cycle else row for v, row in enumerate(g.adj)]
+        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        g = Graph(g.n, tuple(adj))
+    return g, hole | draw(st.integers(0, g.vertex_mask))

@@ -181,6 +181,17 @@ def test_all_zero_weights_is_an_error_row(tmp_path, capsys, monkeypatch):
     ]
 
 
+def test_boolean_weights_are_a_usage_error(tmp_path, capsys, monkeypatch):
+    # JSON booleans are Python ints, but not weights
+    wfile = tmp_path / "w.json"
+    wfile.write_text("[true, false, false]")
+    p3 = emit_graph6(Graph.path(3))
+    code, out, err = run_cli(["divide", "--weights", str(wfile), "-"], capsys, stdin=p3 + "\n", monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert "weights must be nonnegative integers" in err
+
+
 def test_divide_weighted(tmp_path, capsys, monkeypatch):
     wfile = tmp_path / "w.json"
     wfile.write_text("[1, 0, 0]")
@@ -219,6 +230,26 @@ def test_gen_all_matches_enumeration(capsys):
     assert code == 0
     assert lines == [emit_graph6(g) for g in enumerate_nonisomorphic(4)]
     assert len(lines) == 11
+
+
+def test_gen_all_negative_is_usage_error(capsys):
+    # in a fresh process, where only level 0 is cached
+    src = str(Path(forkdiv.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "forkdiv", "gen", "--all", "-1"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "nonnegative" in proc.stderr
+    # and once level 4 is cached, which a negative index would reach
+    enumerate_nonisomorphic(4)
+    code = main(["gen", "--all", "-1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "nonnegative" in err
 
 
 def test_gen_gnp_golden(capsys):

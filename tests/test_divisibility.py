@@ -317,6 +317,17 @@ def test_coloring_falls_back_when_division_is_impossible():
         assert cert.colors[u] != cert.colors[v]
 
 
+def test_coloring_takes_omega_from_the_first_certificate(monkeypatch):
+    # omega(G) is computed again only when no layer's certificate carries it
+    calls = []
+    monkeypatch.setattr(divisibility, "clique_number", lambda g: calls.append(g) or clique_number(g))
+    assert color_by_division(petersen()).bound_value == 3
+    assert calls == []
+    assert color_by_division(MYCIELSKI_C5).bound_value == 3
+    assert color_by_division(Graph.empty(0)).bound_value == 0
+    assert calls == [MYCIELSKI_C5, Graph.empty(0)]
+
+
 @pytest.mark.parametrize("exhaustive_only", [False, True])
 @given(gm=graphs_with_masks())
 def test_division_of_a_mask_matches_the_induced_copy(exhaustive_only, gm):

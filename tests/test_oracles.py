@@ -1,13 +1,18 @@
+import hashlib
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
 import bruteforce
+from forkdiv.formats import emit_graph6
 from forkdiv.graph import Graph, bits, mask_of
+from forkdiv.harness import graphs_up_to, random_gnp
 from forkdiv.limits import CapacityError
 from forkdiv.oracles import (
+    _co_rows,
     _exact_coloring,
+    _odd_holes,
     chromatic_number,
     clique_number,
     exact_coloring,
@@ -19,7 +24,7 @@ from forkdiv.oracles import (
     max_clique,
     max_weight_clique,
 )
-from strategies import graphs, graphs_with_masks, weighted_graphs
+from strategies import graphs, graphs_with_hole_masks, graphs_with_masks, weighted_graphs
 
 
 def petersen() -> Graph:
@@ -179,6 +184,38 @@ def test_odd_hole_agrees_with_subset_enumeration(g):
     if fast is not None:
         assert tuple(sorted(bits(fast))) in brute
         assert tuple(sorted(bits(slow))) in brute
+
+
+@settings(max_examples=150)
+@given(graphs_with_hole_masks(max_n=8))
+def test_odd_holes_yields_every_hole_once(case):
+    g, mask = case
+    h, vmap = g.induced(mask)
+    for rows, sub in ((g.adj, h), (_co_rows(g.adj, mask), h.complement())):
+        found = list(_odd_holes(rows, mask))
+        assert len(found) == len(set(found))
+        assert set(found) == {mask_of(vmap[i] for i in hole) for hole in bruteforce.odd_holes(sub)}
+
+
+def test_odd_holes_golden_counts():
+    c5 = Graph.cycle(5)
+    assert list(_odd_holes(c5.adj, c5.vertex_mask)) == [0b11111]
+    two = c5.disjoint_union(c5)
+    assert list(_odd_holes(two.adj, two.vertex_mask)) == [0b11111, 0b11111 << 5]
+    p = petersen()
+    assert len(list(_odd_holes(p.adj, p.vertex_mask))) == len(bruteforce.odd_holes(p)) == 12
+
+
+def test_odd_hole_witnesses_are_pinned():
+    # the first hole and antihole found, on every graph with n <= 7 and on
+    # seeded G(n, p) with n = 8..14
+    corpus = graphs_up_to(7) + [
+        random_gnp(n, p, seed) for n in range(8, 15) for p in (0.3, 0.5, 0.7) for seed in range(8)
+    ]
+    h = hashlib.sha256()
+    for g in corpus:
+        h.update(f"{emit_graph6(g)} {find_odd_hole(g)} {find_odd_antihole(g)}\n".encode())
+    assert h.hexdigest() == "2a4c9fed03e41943f2f2f8c27657f314124ed24b38306b3b567ef4459e8123ea"
 
 
 def test_perfection_golden_cases():
