@@ -230,6 +230,8 @@ def _cmd_verify(args, started):
         graphs, meta = _read_graphs(args.corpus, args.format)
         desc = f"corpus {args.corpus}"
     else:
+        if args.all < 1:
+            raise _UsageError(f"--all expects N >= 1, got {args.all}")
         graphs = graphs_up_to(args.all)
         meta = {
             "path": None,

@@ -1,11 +1,14 @@
 """Exact NP-hard oracles sized for small verification corpora.
 
-Clique and weighted clique run branch-and-bound with greedy colouring
-bounds, colouring runs a clique-seeded saturation-degree branch-and-bound,
-and odd holes are found by extending induced paths, each hole once in one
-orientation, with anchors and entries that cannot close a hole pruned.
-Every witness is deterministic: ties break toward the lexicographically
-smallest vertex set.
+Colour classes are vertex masks throughout.  The maximum-clique search
+bounds each branch by the number of greedy colour classes of its
+candidates, the clique witness search prunes by the same count, and the
+exact colouring is a clique-seeded saturation-degree (DSATUR)
+branch-and-bound over a list of class masks.  Weighted clique runs its own
+branch-and-bound on weight sums, and odd holes are found by extending
+induced paths, each hole once in one orientation, with anchors and entries
+that cannot close a hole pruned.  Every witness is deterministic: ties
+break toward the lexicographically smallest vertex set.
 """
 
 from __future__ import annotations
@@ -14,27 +17,34 @@ from .graph import Graph, bits
 from .limits import DEFAULT_CAPS, CapacityError
 
 
-def _greedy_color_groups(adj, cand):
-    """Order cand by greedy colour class; the class index bounds any clique."""
-    order = []
-    bound = []
-    color = 0
+def _color_classes(adj, cand):
+    """Greedy colour classes of cand as vertex masks, each grown from its
+    lowest vertex; a clique meets every class at most once."""
+    classes = []
+    while cand:
+        cls = 0
+        avail = cand
+        while avail:
+            bit = avail & -avail
+            cls |= bit
+            avail &= ~adj[bit.bit_length() - 1] & ~bit
+        classes.append(cls)
+        cand ^= cls
+    return classes
+
+
+def _max_clique_size(adj, cand):
+    """Largest clique within cand.
+
+    The best size starts at the greedy clique that keeps taking the highest
+    candidate.  Each node colours its candidates greedily and branches from
+    the last class down, highest vertex first, while the clique's size plus
+    the number of the vertex's class can still beat the best."""
+    best = 0
     rest = cand
     while rest:
-        color += 1
-        avail = rest
-        while avail:
-            v = (avail & -avail).bit_length() - 1
-            order.append(v)
-            bound.append(color)
-            avail &= ~adj[v] & ~(1 << v)
-            rest &= ~(1 << v)
-    return order, bound
-
-
-def _max_clique_size(adj, cand, stop_at=None):
-    """Largest clique within cand; stops early once stop_at is reached."""
-    best = 0
+        best += 1
+        rest &= adj[rest.bit_length() - 1]
 
     def expand(size, cand):
         nonlocal best
@@ -42,15 +52,16 @@ def _max_clique_size(adj, cand, stop_at=None):
             if size > best:
                 best = size
             return
-        order, bound = _greedy_color_groups(adj, cand)
-        for i in range(len(order) - 1, -1, -1):
-            if size + bound[i] <= best:
-                return
-            if stop_at is not None and best >= stop_at:
-                return
-            v = order[i]
-            expand(size + 1, cand & adj[v])
-            cand &= ~(1 << v)
+        classes = _color_classes(adj, cand)
+        for k in range(len(classes), 0, -1):
+            cls = classes[k - 1]
+            while cls:
+                if size + k <= best:
+                    return
+                v = cls.bit_length() - 1
+                cls ^= 1 << v
+                expand(size + 1, cand & adj[v])
+                cand &= ~(1 << v)
 
     expand(0, cand)
     return best
@@ -66,18 +77,27 @@ def max_clique(g: Graph) -> int:
 
 
 def _max_clique(adj, mask):
-    w = _max_clique_size(adj, mask)
-    chosen = 0
-    cand = mask
-    for _ in range(w):
-        for v in bits(cand):
-            rest = cand & adj[v]
-            need = w - chosen.bit_count() - 1
-            if _max_clique_size(adj, rest, stop_at=need) >= need:
-                chosen |= 1 << v
-                cand = rest
-                break
-    return chosen
+    """The lexicographically first clique of maximum size within mask.
+
+    One size search, then a search that tries candidates in ascending order,
+    each narrowing the rest to its later neighbours.  A branch is pruned
+    when fewer vertices remain than the clique still needs or, once it needs
+    three or more, fewer colour classes."""
+
+    def first(chosen, cand, need):
+        if not need:
+            return chosen
+        if cand.bit_count() < need or need > 2 and len(_color_classes(adj, cand)) < need:
+            return None
+        while cand.bit_count() >= need:
+            bit = cand & -cand
+            cand ^= bit
+            found = first(chosen | bit, cand & adj[bit.bit_length() - 1], need - 1)
+            if found is not None:
+                return found
+        return None
+
+    return first(0, mask, _max_clique_size(adj, mask))
 
 
 def independence_number(g: Graph) -> int:
@@ -150,18 +170,6 @@ def max_weight_clique(g: Graph, weights) -> tuple[int, int]:
 # -- colouring --------------------------------------------------------
 
 
-def _dsatur_order_pick(adj, colors, uncolored, degrees):
-    best = None
-    key = None
-    for v in bits(uncolored):
-        sat = len({colors[u] for u in bits(adj[v]) if colors[u] >= 0})
-        k = (-sat, -degrees[v], v)
-        if key is None or k < key:
-            key = k
-            best = v
-    return best
-
-
 def exact_coloring(g: Graph, cap: int = DEFAULT_CAPS.coloring) -> tuple[int, ...]:
     """An optimal proper colouring with colours 0..chi-1.
 
@@ -172,57 +180,53 @@ def exact_coloring(g: Graph, cap: int = DEFAULT_CAPS.coloring) -> tuple[int, ...
 
 def _exact_coloring(adj, mask, cap):
     """exact_coloring of the subgraph induced on mask, as a list over all
-    rows of adj; vertices outside mask keep colour -1."""
+    rows of adj; vertices outside mask keep colour -1.
+
+    DSATUR branch and bound on colour classes kept as vertex masks, with
+    one class opened by each vertex of the lexicographically first maximum
+    clique.  Each step colours the uncoloured vertex that meets the most
+    classes (its saturation), then has the highest degree within mask, then
+    the lowest index; it tries every class the vertex does not meet, then a
+    new one while that can still beat the best.  The first descent is the
+    greedy colouring, which sets the first bound."""
     if mask.bit_count() > cap:
         raise CapacityError("exact_coloring", mask.bit_count(), cap)
     adj = [row & mask for row in adj]
     degrees = [row.bit_count() for row in adj]
-    seed = _max_clique(adj, mask)
-    lb = seed.bit_count()
 
-    colors = [-1] * len(adj)
-    for i, v in enumerate(bits(seed)):
-        colors[v] = i
+    def pick(uncolored):
+        return min(bits(uncolored), key=lambda v: (
+            -sum(1 for cls in classes if cls & adj[v]), -degrees[v], v))
 
-    # greedy DSATUR completion gives the initial upper bound
-    greedy = colors.copy()
-    uncolored = mask & ~seed
-    while uncolored:
-        v = _dsatur_order_pick(adj, greedy, uncolored, degrees)
-        used = {greedy[u] for u in bits(adj[v]) if greedy[u] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        greedy[v] = c
-        uncolored &= ~(1 << v)
-    best_k = max(greedy, default=-1) + 1
-    best = greedy
-    if best_k == lb:
-        return best
-
-    def solve(uncolored, used_k):
-        nonlocal best, best_k
-        if used_k >= best_k:
-            return
+    def solve(uncolored):
+        nonlocal best
         if not uncolored:
-            best = colors.copy()
-            best_k = used_k
+            best = classes.copy()
             return
-        v = _dsatur_order_pick(adj, colors, uncolored, degrees)
-        forbidden = {colors[u] for u in bits(adj[v]) if colors[u] >= 0}
+        v = pick(uncolored)
+        bit = 1 << v
+        used_k = len(classes)
         for c in range(used_k):
-            if c in forbidden:
-                continue
-            colors[v] = c
-            solve(uncolored & ~(1 << v), used_k)
-            colors[v] = -1
-        if used_k + 1 < best_k:
-            colors[v] = used_k
-            solve(uncolored & ~(1 << v), used_k + 1)
-            colors[v] = -1
+            if used_k >= len(best):
+                return
+            if not classes[c] & adj[v]:
+                classes[c] |= bit
+                solve(uncolored ^ bit)
+                classes[c] ^= bit
+        if used_k + 1 < len(best):
+            classes.append(bit)
+            solve(uncolored ^ bit)
+            classes.pop()
 
-    solve(mask & ~seed, lb)
-    return best
+    seed = _max_clique(adj, mask)
+    classes = [1 << v for v in bits(seed)]
+    best = [0] * (mask.bit_count() + 1)  # more classes than any colouring
+    solve(mask & ~seed)
+    colors = [-1] * len(adj)
+    for c, cls in enumerate(best):
+        for v in bits(cls):
+            colors[v] = c
+    return colors
 
 
 def chromatic_number(g: Graph, cap: int = DEFAULT_CAPS.coloring) -> int:

@@ -20,6 +20,15 @@ def omega(g: Graph) -> int:
     return best
 
 
+def max_clique(g: Graph) -> tuple[int, ...]:
+    """The lexicographically least clique of maximum size."""
+    for k in range(g.n, 0, -1):
+        for sub in combinations(range(g.n), k):
+            if all(g.has_edge(u, v) for u, v in combinations(sub, 2)):
+                return sub
+    return ()
+
+
 def alpha(g: Graph) -> int:
     best = 0
     for k in range(g.n, 0, -1):

@@ -12,9 +12,18 @@ def graphs(draw, min_n: int = 0, max_n: int = 7):
     n = draw(st.integers(min_n, max_n))
     if n < 2:
         return Graph.empty(n)
-    pairs = list(combinations(range(n), 2))
-    edges = draw(st.sets(st.sampled_from(pairs)))
-    return Graph.from_edges(n, sorted(edges))
+    # an edge density in eighths first, so sparse, middling and dense graphs
+    # all turn up; then each pair is an edge when three coins, read as a
+    # number 0..7, reach 8 - density.  Hypothesis biases its integers toward
+    # 0 and the bounds, but not its coins.  Everything shrinks toward fewer
+    # edges.
+    density = draw(st.sampled_from(range(1, 8)))
+    coins = st.booleans()
+    edges = [
+        e for e in combinations(range(n), 2)
+        if 4 * draw(coins) + 2 * draw(coins) + draw(coins) >= 8 - density
+    ]
+    return Graph.from_edges(n, edges)
 
 
 @st.composite

@@ -303,6 +303,15 @@ def test_verify_unknown_check(capsys):
     assert "T99" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_verify_all_below_one_is_usage_error(capsys, n):
+    # an empty corpus would pass every check
+    code = main(["verify", "--check", "all", "--all", n])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "--all expects N >= 1" in err
+
+
 def test_linegraph(capsys, monkeypatch):
     p4 = emit_graph6(Graph.path(4))
     code, out, _ = run_cli(["linegraph", "--divide", "-"], capsys, stdin=p4 + "\n", monkeypatch=monkeypatch)

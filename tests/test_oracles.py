@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 
 import bruteforce
-from forkdiv.formats import emit_graph6
+from forkdiv.formats import emit_graph6, parse_graph6
 from forkdiv.graph import Graph, bits, mask_of
 from forkdiv.harness import graphs_up_to, random_gnp
 from forkdiv.limits import CapacityError
 from forkdiv.oracles import (
     _co_rows,
     _exact_coloring,
+    _max_clique,
+    _max_clique_size,
     _odd_holes,
     chromatic_number,
     clique_number,
@@ -49,12 +51,38 @@ def test_clique_number_small_cases():
 
 def test_max_clique_witness_is_lex_least_maximum():
     for g in [Graph.cycle(5), PAW, Graph.complete(4), petersen()]:
-        om = bruteforce.omega(g)
-        best = min(
-            (sub for sub in combinations(range(g.n), om)
-             if all(g.has_edge(u, v) for u, v in combinations(sub, 2))),
-        )
-        assert tuple(bits(max_clique(g))) == best
+        assert tuple(bits(max_clique(g))) == bruteforce.max_clique(g)
+
+
+@given(graphs_with_masks(max_n=9))
+def test_clique_search_on_a_mask_matches_brute_force(gm):
+    g, mask = gm
+    h, vmap = g.induced(mask)
+    assert _max_clique_size(g.adj, mask) == bruteforce.omega(h)
+    assert _max_clique(g.adj, mask) == mask_of(vmap[i] for i in bruteforce.max_clique(h))
+
+
+def test_max_clique_witness_search_is_bounded_by_colour_classes():
+    # K(4x12), twelve parts of four, then a disjoint K13.  No clique
+    # through the parts reaches 13 vertices, which their 12 colour classes
+    # show at once; with the popcount bound alone, the ascending search
+    # walks the cliques through the parts, about 4**12 of them, before it
+    # reaches the K13.  The row reads count the search's work.
+    parts = Graph.from_edges(48, [(u, v) for u, v in combinations(range(48), 2) if u // 4 != v // 4])
+    g = parts.disjoint_union(Graph.complete(13))
+    k13 = mask_of(range(48, 61))
+
+    class CountedRows(tuple):
+        reads = 0
+
+        def __getitem__(self, v):
+            CountedRows.reads += 1
+            if CountedRows.reads > 2500:
+                raise AssertionError("witness search read more than 2500 rows")
+            return tuple.__getitem__(self, v)
+
+    assert _max_clique(CountedRows(g.adj), g.vertex_mask) == k13
+    assert max_clique(g) == k13
 
 
 def test_independence_number_small_cases():
@@ -103,9 +131,13 @@ def test_chromatic_number_small_cases():
     assert chromatic_number(Graph.complete(4)) == 4
     assert chromatic_number(petersen()) == 3
     assert chromatic_number(Graph.empty(0)) == 0
+    # the greedy first descent of DSATUR takes four colours here, so only
+    # the branch and bound reaches three
+    g = parse_graph6("G?`fmW")
+    assert chromatic_number(g) == bruteforce.chi(g) == 3
 
 
-@given(graphs(max_n=6))
+@given(graphs(max_n=8))
 def test_exact_coloring_is_proper_and_minimum(g):
     colors = exact_coloring(g)
     chi = chromatic_number(g)
@@ -216,6 +248,18 @@ def test_odd_hole_witnesses_are_pinned():
     for g in corpus:
         h.update(f"{emit_graph6(g)} {find_odd_hole(g)} {find_odd_antihole(g)}\n".encode())
     assert h.hexdigest() == "2a4c9fed03e41943f2f2f8c27657f314124ed24b38306b3b567ef4459e8123ea"
+
+
+def test_clique_and_colouring_witnesses_are_pinned():
+    # the maximum clique and the optimal colouring, on every graph with
+    # n <= 7 and on seeded G(n, p) with n = 8..16
+    corpus = graphs_up_to(7) + [
+        random_gnp(n, p, seed) for n in range(8, 17) for p in (0.3, 0.5, 0.7, 0.9) for seed in range(6)
+    ]
+    h = hashlib.sha256()
+    for g in corpus:
+        h.update(f"{emit_graph6(g)} {max_clique(g)} {exact_coloring(g)}\n".encode())
+    assert h.hexdigest() == "74fb8c68b0cafd290aec581e0aa31af134ceb3ddc30b43f211e790dd25915433"
 
 
 def test_perfection_golden_cases():
