@@ -93,8 +93,7 @@ def _certify(g, a, b, strategy, pivot=None, w=None, within=None) -> Division:
 
 
 def perfect_division(
-    g: Graph,
-    exhaustive_cap: int = DEFAULT_CAPS.exhaustive_division,
+    g: Graph, exhaustive_cap: int = DEFAULT_CAPS.submask_tables
 ) -> Division | None:
     """A division of g, None if exhaustion proves none exists.
 
@@ -233,7 +232,7 @@ def _division_scan(h, omega, imperfect) -> int | None:
 
 
 def is_perfectly_divisible_exact(
-    g: Graph, cap: int = DEFAULT_CAPS.exact_divisibility
+    g: Graph, cap: int = DEFAULT_CAPS.submask_tables
 ) -> bool:
     """Whether every induced subgraph admits a division; exhaustive.
 
@@ -288,16 +287,13 @@ class ColoringCertificate:
         }
 
 
-def color_by_division(
-    g: Graph,
-    exhaustive_cap: int = DEFAULT_CAPS.exhaustive_division,
-    coloring_cap: int = DEFAULT_CAPS.coloring,
-) -> ColoringCertificate:
+def color_by_division(g: Graph) -> ColoringCertificate:
     """Colour by peeling divisions: each perfect side takes a fresh block of
     exactly its clique number of colours, and the residual side loses at
     least one from omega, so a fully divided run uses at most
-    binom(omega+1, 2) colours.  Residuals that will not divide are coloured
-    exactly and flagged."""
+    binom(omega+1, 2) colours.  A residual proved to have no division is
+    coloured exactly and flagged; the division and colouring caps are one
+    size, so a graph over it raises CapacityError."""
     colors = [-1] * g.n
     layers: list[ColorLayer] = []
     remaining = g.vertex_mask
@@ -305,15 +301,12 @@ def color_by_division(
     fallback = False
     omega = None  # omega(G), from the first layer's certificate
     while remaining:
-        try:
-            d = _divide_mask(g, remaining, exhaustive_cap)
-        except CapacityError:
-            d = None
+        d = _divide_mask(g, remaining, DEFAULT_CAPS.submask_tables)
         fallback = d is None
         a, b, strategy = (remaining, 0, "fallback-exact") if fallback else (d.a, d.b, d.strategy)
         if omega is None and not fallback:
             omega = d.omega
-        layer_colors = _exact_coloring(g.adj, a, coloring_cap)
+        layer_colors = _exact_coloring(g.adj, a, DEFAULT_CAPS.coloring)
         k = max(layer_colors) + 1
         if not fallback and k != _max_clique_size(g.adj, a):
             raise InvariantError("perfect layer did not colour with omega colours")

@@ -19,13 +19,8 @@ from .decomposition import find_homogeneous_set
 from .divisibility import is_perfectly_divisible_exact, line_graph_division, color_by_division
 from .graph import Graph, bits, canonical_form
 from .limits import DEFAULT_CAPS, CapacityError, InvariantError
-from .oracles import (
-    chromatic_number,
-    clique_number,
-    find_odd_hole,
-    is_perfect_induced,
-)
-from .patterns import CLASS_BOUNDS, _claw_triple, find_induced, pattern
+from .oracles import _first_odd_hole, chromatic_number, clique_number, is_perfect_induced
+from .patterns import CLASS_BOUNDS, _claw_triple, _iter_induced, find_induced, pattern
 
 # enumeration is append-only: level k holds all non-isomorphic graphs on k
 # vertices in first-seen order
@@ -215,19 +210,13 @@ def _t8(g: Graph) -> Outcome:
         return Outcome(False)
     co_p5 = pattern("co-P5")
     for v in range(g.n):
-        sub, vmap = g.induced(g.non_neighborhood(v))
-        hole = find_odd_hole(sub)
+        m_v = g.non_neighborhood(v)
+        hole = _first_odd_hole(g.adj, m_v, DEFAULT_CAPS.odd_hole)
         if hole is not None:
-            return Outcome(
-                True,
-                failure={"vertex": v, "odd_hole": sorted(vmap[i] for i in bits(hole))},
-            )
-        w = find_induced(sub, co_p5, "co-P5")
+            return Outcome(True, failure={"vertex": v, "odd_hole": sorted(bits(hole))})
+        w = next(_iter_induced(g.adj, m_v, co_p5), None)
         if w is not None:
-            return Outcome(
-                True,
-                failure={"vertex": v, "co_p5": sorted(vmap[i] for i in w.mapping)},
-            )
+            return Outcome(True, failure={"vertex": v, "co_p5": sorted(w)})
     return Outcome(True)
 
 
@@ -238,7 +227,7 @@ def _t9(g: Graph) -> Outcome:
         lg, _, _ = line_graph_division(g)  # certified by the oracles
     except InvariantError as exc:
         return Outcome(True, failure={"certificate": str(exc)})
-    if lg.n <= DEFAULT_CAPS.exact_divisibility and not _pd_exact(lg):
+    if not _pd_exact(lg):
         return Outcome(True, failure={"line_graph_not_perfectly_divisible": True})
     return Outcome(True)
 

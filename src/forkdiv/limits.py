@@ -2,8 +2,9 @@
 
 Every exponential search in the package takes an explicit vertex cap and
 refuses inputs beyond it instead of silently running forever.  The defaults
-are sized for the verification corpora (everything the harness touches has
-n <= 12, line graphs up to 15 vertices).
+are sized for the verification corpora (graphs up to 8 vertices, line
+graphs up to 15).  One cap of 16 bounds the odd-hole, colouring and
+submask-table searches, so a table has at most 65,536 entries.
 """
 
 from dataclasses import dataclass
@@ -16,8 +17,7 @@ class Caps:
     canonical: int = 10
     coloring: int = 16
     odd_hole: int = 16
-    exhaustive_division: int = 12
-    exact_divisibility: int = 9
+    submask_tables: int = 16
     enumeration: int = 8
 
 

@@ -145,17 +145,23 @@ def iter_induced(host: Graph, pat: Graph):
     cut to the neighbours or non-neighbours of every placed vertex as the
     pattern demands, and a placement that empties a domain is pruned.
     """
-    p, n, adj = pat.n, host.n, host.adj
+    return _iter_induced(host.adj, host.vertex_mask, pat)
+
+
+def _iter_induced(adj, mask, pat):
+    """iter_induced in the subgraph that rows adj induce on mask, with host
+    vertices as they are: degrees and non-neighbours count within mask."""
+    p, n = pat.n, mask.bit_count()
     if p > n:
         return
     if p == 0:
         yield ()
         return
     order, degs, links = _plan(pat)
-    co = [host.vertex_mask ^ row ^ 1 << v for v, row in enumerate(adj)]
+    co = [mask & ~(row | 1 << v) for v, row in enumerate(adj)]
     by_degree = [0] * n
-    for v, row in enumerate(adj):
-        by_degree[row.bit_count()] |= 1 << v
+    for v in bits(mask):
+        by_degree[(adj[v] & mask).bit_count()] |= 1 << v
     # a host vertex needs as many neighbours and non-neighbours as the step
     doms = [sum(by_degree[d : d + n - p + 1]) for d in degs]
     assign, last = [0] * p, p - 1

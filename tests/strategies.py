@@ -45,10 +45,20 @@ def weighted_graphs(draw, min_n: int = 1, max_n: int = 6, max_w: int = 5):
     return g, w
 
 
+def _vertex_mask(draw, n: int) -> int:
+    # a density in eighths, then three coins per vertex, as graphs draws its
+    # edges: an integer mask would lean toward 0, so toward few, low vertices
+    density = draw(st.sampled_from(range(1, 9)))
+    coins = st.booleans()
+    return mask_of(
+        v for v in range(n) if 4 * draw(coins) + 2 * draw(coins) + draw(coins) >= 8 - density
+    )
+
+
 @st.composite
 def graphs_with_masks(draw, max_n: int = 8):
     g = draw(graphs(max_n=max_n))
-    return g, draw(st.integers(0, g.vertex_mask))
+    return g, _vertex_mask(draw, g.n)
 
 
 @st.composite
@@ -67,4 +77,4 @@ def graphs_with_hole_masks(draw, max_n: int = 8):
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         g = Graph(g.n, tuple(adj))
-    return g, hole | draw(st.integers(0, g.vertex_mask))
+    return g, hole | _vertex_mask(draw, g.n)

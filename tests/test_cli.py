@@ -14,6 +14,8 @@ from forkdiv.formats import emit_graph6, parse_graph6
 from forkdiv.graph import Graph, are_isomorphic
 from forkdiv.harness import enumerate_nonisomorphic
 from forkdiv.limits import InvariantError
+from forkdiv.patterns import has_induced
+from test_divisibility import clebsch
 from test_oracles import petersen
 
 C5 = emit_graph6(Graph.cycle(5))          # "DqK" shape; derived via emit
@@ -103,6 +105,13 @@ def test_divide_success_and_counterexample(capsys, monkeypatch):
     assert row["division"] is None
     assert "no perfect division" in row["error"]
 
+    # 16 vertices, within the submask-table cap: a proof, not a cap row
+    clebsch_g6 = emit_graph6(clebsch())
+    code, out, _ = run_cli(["divide", "-"], capsys, stdin=clebsch_g6 + "\n", monkeypatch=monkeypatch)
+    assert code == 1
+    row = json.loads(out)["results"][0]
+    assert row == {"graph6": clebsch_g6, "division": None, "error": "no perfect division exists"}
+
 
 def test_oversized_graph_becomes_an_error_row(capsys, monkeypatch):
     # C13 + C5 has 18 vertices, over the odd-hole and colouring caps of 16
@@ -123,7 +132,7 @@ def test_oversized_graph_becomes_an_error_row(capsys, monkeypatch):
     assert code == 2
     small, over = json.loads(out)["results"]
     assert small["palette"] == 3 and "error" not in small
-    assert over == {"graph6": big, "error": "exact_coloring: graph has 18 vertices, cap is 16"}
+    assert over == {"graph6": big, "error": "find_odd_hole: graph has 18 vertices, cap is 16"}
 
 
 @pytest.mark.parametrize(
@@ -443,16 +452,25 @@ def test_console_script_entry_point():
     assert json.loads(proc.stdout)["results"][0]["chi"] == 3
 
 
-def test_hunt_script_smoke():
-    root = Path(__file__).parents[1]
-    src = str(Path(forkdiv.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "hunt_conjecture.py"),
-         "--exhaustive-n", "5", "--samples", "20", "--max-n", "7"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "no counterexample found"
+def test_gnp_samples_piped_into_verify_t10(capsys, monkeypatch):
+    # the conjecture hunt beyond the enumeration cap: seeded G(n, p) lines
+    # from `gen --gnp` fed to `verify --check T10 --corpus -`; K17 is
+    # fork-free and over the submask-table cap, so it is a skipped row
+    lines = []
+    for argv in [["12", "0.75", str(seed)] for seed in range(12)] + [["17", "1.0", "0"]]:
+        assert main(["gen", "--gnp", *argv]) == 0
+        lines.append(capsys.readouterr()[0])
+    samples = [parse_graph6(line.strip()) for line in lines[:-1]]
+    fork_free = sum(not has_induced(g, "fork") for g in samples)
+    assert 0 < fork_free < len(samples)
+    code, out, _ = run_cli(["verify", "--check", "T10", "--corpus", "-"], capsys,
+                           stdin="".join(lines), monkeypatch=monkeypatch)
+    assert code == 0
+    report = payload(out)["results"][0]
+    assert report["passed"] is True
+    assert report["graphs_scanned"] == len(lines)
+    assert report["hypothesis_matches"] == fork_free
+    assert report["skipped"] == [{
+        "graph6": lines[-1].strip(),
+        "reason": "is_perfectly_divisible_exact: graph has 17 vertices, cap is 16",
+    }]

@@ -30,6 +30,15 @@ from test_oracles import petersen
 MYCIELSKI_C5 = formats.parse_graph6("JhdLA_gc?N_")
 
 
+def clebsch():
+    """The folded 5-cube: u ~ v when u ^ v has one bit set or equals 15.
+    Triangle-free with chi = 4 on 16 vertices, the submask-table cap."""
+    return Graph.from_edges(16, [
+        (u, v) for u in range(16) for v in range(u + 1, 16)
+        if (u ^ v).bit_count() == 1 or u ^ v == 15
+    ])
+
+
 def _revalidate(g, d):
     assert d.a & d.b == 0
     assert d.a | d.b == g.vertex_mask
@@ -233,13 +242,30 @@ def test_exact_divisibility_golden_cases():
     assert is_perfectly_divisible_exact(Graph.cycle(7))
     assert is_perfectly_divisible_exact(Graph.empty(0))
     with pytest.raises(CapacityError):
-        is_perfectly_divisible_exact(Graph.empty(10))
+        is_perfectly_divisible_exact(Graph.empty(17))
 
 
 def test_exact_divisibility_refutes_triangle_free_chi4():
     # no random fork-free sample has reached the False branch; pin one graph
-    assert not is_perfectly_divisible_exact(MYCIELSKI_C5, cap=11)
+    assert not is_perfectly_divisible_exact(MYCIELSKI_C5)
     assert not bruteforce.is_perfectly_divisible(MYCIELSKI_C5)
+
+
+def test_clebsch_goldens_at_the_table_cap():
+    g = clebsch()
+    assert clique_number(g) == 2 and chromatic_number(g) == 4
+    assert not is_perfectly_divisible_exact(g)
+    # the complement is 3K1-free, so fork-free, and divisible all the way down
+    assert is_perfectly_divisible_exact(g.complement())
+    # no pivot or module division; the exhaustive scan proves there is none
+    assert divisibility._divide_support(g, g.vertex_mask, (1,) * g.n) is None
+    assert perfect_division(g) is None
+    cert = color_by_division(g)
+    assert cert.fallback and cert.palette == 4
+    assert [(layer.a, layer.b, layer.strategy) for layer in cert.layers] == [
+        (g.vertex_mask, 0, "fallback-exact")
+    ]
+    assert all(cert.colors[u] != cert.colors[v] for u, v in g.edges())
 
 
 @pytest.mark.parametrize(
@@ -414,8 +440,7 @@ def test_line_graph_division_revalidates(g):
     lg, edge_list, d = line_graph_division(g)
     assert lg.n == g.edge_count
     _revalidate(lg, d)
-    if lg.n <= 9:
-        assert is_perfectly_divisible_exact(lg)
+    assert is_perfectly_divisible_exact(lg)
 
 
 def test_division_json_shape():

@@ -17,7 +17,7 @@ from forkdiv.harness import (
     run_check,
 )
 from forkdiv.limits import CapacityError, InvariantError
-from forkdiv.patterns import claw_center
+from forkdiv.patterns import claw_center, pattern
 from strategies import graphs
 
 
@@ -166,6 +166,30 @@ def test_t9_records_a_failed_certificate_and_the_run_goes_on(monkeypatch):
     assert t9.counterexamples == [{"graph6": emit_graph6(p3), "detail": detail}]
     assert t9.hypothesis_matches > 1
     assert all(r.passed for r in reports if r.check_id != "T9")
+
+
+@pytest.mark.parametrize(
+    "g, detail",
+    [
+        (Graph.empty(1).disjoint_union(Graph.cycle(5)), {"vertex": 0, "odd_hole": [1, 2, 3, 4, 5]}),
+        (Graph.empty(1).disjoint_union(pattern("co-P5")), {"vertex": 0, "co_p5": [1, 2, 3, 4, 5]}),
+    ],
+    ids=["odd-hole", "co-P5"],
+)
+def test_t8_failure_names_host_vertices(g, detail, monkeypatch):
+    # T8 holds wherever its hypothesis does, so grant the hypothesis
+    monkeypatch.setattr(harness, "_free", lambda g, name: True)
+    monkeypatch.setattr(harness, "_homogeneous", lambda g: None)
+    assert CHECKS["T8"].evaluate(g).failure == detail
+
+
+def test_t9_checks_every_line_graph_exactly(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(harness, "_pd_exact", lambda lg: sizes.append(lg.n) or True)
+    report = run_check(CHECKS["T9"], graphs_up_to(6), "all graphs on 1..6 vertices")
+    # K6 has 15 edges; every line graph is within the submask-table cap
+    assert report.hypothesis_matches == len(sizes) == 142
+    assert max(sizes) == 15
 
 
 @pytest.mark.parametrize(

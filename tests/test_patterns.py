@@ -9,6 +9,7 @@ from forkdiv.patterns import (
     CATALOG,
     CLASS_BOUNDS,
     PatternWitness,
+    _iter_induced,
     classify,
     claw_center,
     find_induced,
@@ -18,7 +19,7 @@ from forkdiv.patterns import (
     pattern,
     pattern_names,
 )
-from strategies import graphs
+from strategies import graphs, graphs_with_masks
 from test_oracles import petersen
 
 
@@ -106,6 +107,15 @@ def test_iter_induced_matches_all_injections_oracle(g, name):
     assert got == want
     for mapping in got:
         assert PatternWitness(name, mapping).validate(g, pat)
+
+
+@given(graphs_with_masks(), st.sampled_from(SMALL_PATTERNS))
+def test_iter_induced_on_a_mask_matches_the_induced_copy(gm, name):
+    g, mask = gm
+    sub, vmap = g.induced(mask)
+    pat = pattern(name)
+    want = [tuple(vmap[i] for i in m) for m in iter_induced(sub, pat)]
+    assert list(_iter_induced(g.adj, mask, pat)) == want
 
 
 @given(graphs(max_n=6))
