@@ -37,7 +37,7 @@ from .harness import (
     run_all,
     run_check,
 )
-from .limits import DEFAULT_CAPS, CapacityError, Caps, InvariantError
+from .limits import CapacityError, InvariantError
 from .oracles import (
     chromatic_number,
     clique_number,
@@ -69,10 +69,8 @@ __all__ = [
     "CHECKS",
     "CLASS_BOUNDS",
     "CapacityError",
-    "Caps",
     "ClassReport",
     "ColoringCertificate",
-    "DEFAULT_CAPS",
     "Division",
     "FormatError",
     "Graph",

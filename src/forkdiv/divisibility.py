@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .decomposition import _homogeneous_set
 from .graph import Graph, bits, mask_of
-from .limits import DEFAULT_CAPS, CapacityError, InvariantError
+from .limits import SEARCH_CAP, CapacityError, InvariantError
 from .oracles import (
     _check_weights,
     _co_rows,
@@ -39,7 +39,6 @@ class Division:
     a: int
     b: int
     strategy: str
-    a_is_perfect: bool
     omega_b: int
     omega: int
     pivot: int | None = None
@@ -52,7 +51,7 @@ class Division:
             "b": sorted(bits(self.b)),
             "strategy": self.strategy,
             "certificate": {
-                "a_is_perfect": self.a_is_perfect,
+                "a_is_perfect": True,  # _certify refuses an imperfect A
                 "omega_b": self.omega_b,
                 "omega": self.omega,
             },
@@ -88,26 +87,25 @@ def _certify(g, a, b, strategy, pivot=None, w=None, within=None) -> Division:
     elif within and omega_b >= omega:
         raise InvariantError(f"{strategy}: no clique drop (omega_b={omega_b}, omega={omega})")
     return Division(
-        a, b, strategy, True, omega_b, omega, pivot=pivot, omega_w_b=omega_w_b, omega_w=omega_w
+        a, b, strategy, omega_b, omega, pivot=pivot, omega_w_b=omega_w_b, omega_w=omega_w
     )
 
 
-def perfect_division(
-    g: Graph, exhaustive_cap: int = DEFAULT_CAPS.submask_tables
-) -> Division | None:
+def perfect_division(g: Graph) -> Division | None:
     """A division of g, None if exhaustion proves none exists.
 
     Strategies in order: the whole graph is perfect; the weighted engine
     under unit weights, which first tries each vertex whose
     non-neighbourhood induces a perfect graph (ascending index); the
-    exact-divisibility submask scan on V below the cap, which takes the
-    numerically largest perfect A.  Raises CapacityError when all else
-    fails above the cap.
+    exact-divisibility submask scan on V, which takes the numerically
+    largest perfect A.  The first step's odd-hole search raises
+    CapacityError on a graph over limits.SEARCH_CAP (16) vertices, so no
+    strategy runs above it.
     """
-    return _divide_mask(g, g.vertex_mask, exhaustive_cap)
+    return _divide_mask(g, g.vertex_mask)
 
 
-def _divide_mask(g, mask, cap):
+def _divide_mask(g, mask):
     """perfect_division of G[mask], with both sides as masks of g.  Only the
     exhaustive fallback compacts G[mask] into a copy, for its dense tables."""
     if is_perfect_induced(g, mask):
@@ -116,8 +114,7 @@ def _divide_mask(g, mask, cap):
     if res is not None:
         a, b, strategy, pivot = res
         return _certify(g, a, b, strategy, pivot, within=mask)
-    if mask.bit_count() > cap:
-        raise CapacityError("perfect_division (exhaustive fallback)", mask.bit_count(), cap)
+    # is_perfect_induced above refused a mask over SEARCH_CAP, so the tables are bounded
     h, vmap = g.induced(mask)
     a = _division_scan(h.vertex_mask, _omega_table(h), _imperfect_table(h))
     if a is None:
@@ -231,17 +228,15 @@ def _division_scan(h, omega, imperfect) -> int | None:
     return a
 
 
-def is_perfectly_divisible_exact(
-    g: Graph, cap: int = DEFAULT_CAPS.submask_tables
-) -> bool:
+def is_perfectly_divisible_exact(g: Graph) -> bool:
     """Whether every induced subgraph admits a division; exhaustive.
 
     Perfection of all 2**n submasks comes from one odd-hole table; each
     imperfect h then needs one scan of its submasks a for a perfect a with
     omega(h - a) < omega(h).
     """
-    if g.n > cap:
-        raise CapacityError("is_perfectly_divisible_exact", g.n, cap)
+    if g.n > SEARCH_CAP:
+        raise CapacityError("is_perfectly_divisible_exact", g.n, SEARCH_CAP)
     omega = _omega_table(g)
     imperfect = _imperfect_table(g)
     for h in range(g.vertex_mask, 0, -1):
@@ -292,8 +287,9 @@ def color_by_division(g: Graph) -> ColoringCertificate:
     exactly its clique number of colours, and the residual side loses at
     least one from omega, so a fully divided run uses at most
     binom(omega+1, 2) colours.  A residual proved to have no division is
-    coloured exactly and flagged; the division and colouring caps are one
-    size, so a graph over it raises CapacityError."""
+    coloured exactly and flagged.  Division and colouring share
+    limits.SEARCH_CAP, so a graph over it raises CapacityError before any
+    layer is coloured; `fallback` never stands for a cap."""
     colors = [-1] * g.n
     layers: list[ColorLayer] = []
     remaining = g.vertex_mask
@@ -301,12 +297,12 @@ def color_by_division(g: Graph) -> ColoringCertificate:
     fallback = False
     omega = None  # omega(G), from the first layer's certificate
     while remaining:
-        d = _divide_mask(g, remaining, DEFAULT_CAPS.submask_tables)
+        d = _divide_mask(g, remaining)
         fallback = d is None
         a, b, strategy = (remaining, 0, "fallback-exact") if fallback else (d.a, d.b, d.strategy)
         if omega is None and not fallback:
             omega = d.omega
-        layer_colors = _exact_coloring(g.adj, a, DEFAULT_CAPS.coloring)
+        layer_colors = _exact_coloring(g.adj, a)
         k = max(layer_colors) + 1
         if not fallback and k != _max_clique_size(g.adj, a):
             raise InvariantError("perfect layer did not colour with omega colours")

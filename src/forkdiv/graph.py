@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .limits import DEFAULT_CAPS, CapacityError
+from .limits import CANONICAL_CAP, CapacityError
 
 MAX_VERTICES = 128
 
@@ -252,7 +252,7 @@ def _refine(adj: tuple[int, ...]) -> list[int]:
     return cells
 
 
-def canonical_form(g: Graph, cap: int = DEFAULT_CAPS.canonical) -> bytes:
+def canonical_form(g: Graph) -> bytes:
     """Canonical byte string; equal iff the graphs are isomorphic.
 
     Vertices are first coloured by colour refinement (1-WL): starting from
@@ -269,8 +269,8 @@ def canonical_form(g: Graph, cap: int = DEFAULT_CAPS.canonical) -> bytes:
     factorial blowup on graphs with many interchangeable vertices.
     """
     n = g.n
-    if n > cap:
-        raise CapacityError("canonical_form", n, cap)
+    if n > CANONICAL_CAP:
+        raise CapacityError("canonical_form", n, CANONICAL_CAP)
     if n <= 1:
         return bytes([n])
     adj = g.adj
@@ -324,9 +324,9 @@ def canonical_form(g: Graph, cap: int = DEFAULT_CAPS.canonical) -> bytes:
     return bytes([n]) + packed.to_bytes((width + 7) // 8, "big")
 
 
-def are_isomorphic(g: Graph, h: Graph, cap: int = DEFAULT_CAPS.canonical) -> bool:
+def are_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
     if sorted(row.bit_count() for row in g.adj) != sorted(row.bit_count() for row in h.adj):
         return False
-    return canonical_form(g, cap) == canonical_form(h, cap)
+    return canonical_form(g) == canonical_form(h)

@@ -18,7 +18,7 @@ from . import formats
 from .decomposition import find_homogeneous_set
 from .divisibility import is_perfectly_divisible_exact, line_graph_division, color_by_division
 from .graph import Graph, bits, canonical_form
-from .limits import DEFAULT_CAPS, CapacityError, InvariantError
+from .limits import ENUMERATION_CAP, CapacityError, InvariantError
 from .oracles import _first_odd_hole, chromatic_number, clique_number, is_perfect_induced
 from .patterns import CLASS_BOUNDS, _claw_triple, _iter_induced, find_induced, pattern
 
@@ -27,7 +27,7 @@ from .patterns import CLASS_BOUNDS, _claw_triple, _iter_induced, find_induced, p
 _LEVELS: list[list[Graph]] = [[Graph.empty(0)]]
 
 
-def enumerate_nonisomorphic(n: int, cap: int = DEFAULT_CAPS.enumeration) -> list[Graph]:
+def enumerate_nonisomorphic(n: int) -> list[Graph]:
     """All non-isomorphic graphs on exactly n vertices.
 
     Extends each representative on n-1 vertices by one vertex over every
@@ -37,8 +37,8 @@ def enumerate_nonisomorphic(n: int, cap: int = DEFAULT_CAPS.enumeration) -> list
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    if n > cap:
-        raise CapacityError("enumerate_nonisomorphic", n, cap)
+    if n > ENUMERATION_CAP:
+        raise CapacityError("enumerate_nonisomorphic", n, ENUMERATION_CAP)
     while len(_LEVELS) <= n:
         k = len(_LEVELS)
         seen: set[bytes] = set()
@@ -59,10 +59,10 @@ def enumerate_nonisomorphic(n: int, cap: int = DEFAULT_CAPS.enumeration) -> list
     return list(_LEVELS[n])
 
 
-def graphs_up_to(n: int, cap: int = DEFAULT_CAPS.enumeration) -> list[Graph]:
+def graphs_up_to(n: int) -> list[Graph]:
     out: list[Graph] = []
     for k in range(1, n + 1):
-        out.extend(enumerate_nonisomorphic(k, cap))
+        out.extend(enumerate_nonisomorphic(k))
     return out
 
 
@@ -211,7 +211,7 @@ def _t8(g: Graph) -> Outcome:
     co_p5 = pattern("co-P5")
     for v in range(g.n):
         m_v = g.non_neighborhood(v)
-        hole = _first_odd_hole(g.adj, m_v, DEFAULT_CAPS.odd_hole)
+        hole = _first_odd_hole(g.adj, m_v)
         if hole is not None:
             return Outcome(True, failure={"vertex": v, "odd_hole": sorted(bits(hole))})
         w = next(_iter_induced(g.adj, m_v, co_p5), None)

@@ -1,27 +1,16 @@
 """Search caps and the error types shared across the package.
 
-Every exponential search in the package takes an explicit vertex cap and
-refuses inputs beyond it instead of silently running forever.  The defaults
-are sized for the verification corpora (graphs up to 8 vertices, line
-graphs up to 15).  One cap of 16 bounds the odd-hole, colouring and
-submask-table searches, so a table has at most 65,536 entries.
+Every exponential search in the package refuses inputs beyond a fixed
+vertex cap instead of silently running forever; there is no per-call
+override.  The caps are sized for the verification corpora (graphs up to
+8 vertices, line graphs up to 15).  SEARCH_CAP bounds the odd-hole,
+colouring and submask-table searches, so a table has at most 65,536
+entries.
 """
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Caps:
-    """Default vertex caps for the exponential searches."""
-
-    canonical: int = 10
-    coloring: int = 16
-    odd_hole: int = 16
-    submask_tables: int = 16
-    enumeration: int = 8
-
-
-DEFAULT_CAPS = Caps()
+CANONICAL_CAP = 10
+ENUMERATION_CAP = 8
+SEARCH_CAP = 16
 
 
 class CapacityError(RuntimeError):

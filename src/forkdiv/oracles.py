@@ -14,7 +14,7 @@ break toward the lexicographically smallest vertex set.
 from __future__ import annotations
 
 from .graph import Graph, bits
-from .limits import DEFAULT_CAPS, CapacityError
+from .limits import SEARCH_CAP, CapacityError
 
 
 def _color_classes(adj, cand):
@@ -110,7 +110,9 @@ def _co_rows(adj, mask):
 
 
 def _check_weights(g, weights):
-    weights = tuple(int(w) for w in weights)
+    weights = tuple(weights)
+    if not all(isinstance(w, int) and not isinstance(w, bool) for w in weights):
+        raise ValueError("weights must be integers")
     if len(weights) != g.n:
         raise ValueError(f"expected {g.n} weights, got {len(weights)}")
     if any(w < 0 for w in weights):
@@ -170,15 +172,15 @@ def max_weight_clique(g: Graph, weights) -> tuple[int, int]:
 # -- colouring --------------------------------------------------------
 
 
-def exact_coloring(g: Graph, cap: int = DEFAULT_CAPS.coloring) -> tuple[int, ...]:
+def exact_coloring(g: Graph) -> tuple[int, ...]:
     """An optimal proper colouring with colours 0..chi-1.
 
     Clique-seeded saturation-degree branch and bound; deterministic.
     """
-    return tuple(_exact_coloring(g.adj, g.vertex_mask, cap))
+    return tuple(_exact_coloring(g.adj, g.vertex_mask))
 
 
-def _exact_coloring(adj, mask, cap):
+def _exact_coloring(adj, mask):
     """exact_coloring of the subgraph induced on mask, as a list over all
     rows of adj; vertices outside mask keep colour -1.
 
@@ -189,8 +191,8 @@ def _exact_coloring(adj, mask, cap):
     the lowest index; it tries every class the vertex does not meet, then a
     new one while that can still beat the best.  The first descent is the
     greedy colouring, which sets the first bound."""
-    if mask.bit_count() > cap:
-        raise CapacityError("exact_coloring", mask.bit_count(), cap)
+    if mask.bit_count() > SEARCH_CAP:
+        raise CapacityError("exact_coloring", mask.bit_count(), SEARCH_CAP)
     adj = [row & mask for row in adj]
     degrees = [row.bit_count() for row in adj]
 
@@ -229,8 +231,8 @@ def _exact_coloring(adj, mask, cap):
     return colors
 
 
-def chromatic_number(g: Graph, cap: int = DEFAULT_CAPS.coloring) -> int:
-    coloring = exact_coloring(g, cap)
+def chromatic_number(g: Graph) -> int:
+    coloring = exact_coloring(g)
     return max(coloring) + 1 if coloring else 0
 
 
@@ -284,29 +286,29 @@ def _odd_holes(rows, mask):
                 yield from extend(first, low | entry, 0, 2)
 
 
-def find_odd_hole(g: Graph, cap: int = DEFAULT_CAPS.odd_hole) -> int | None:
+def find_odd_hole(g: Graph) -> int | None:
     """Vertex bitmask of an induced odd cycle of length >= 5, or None."""
-    return _first_odd_hole(g.adj, g.vertex_mask, cap)
+    return _first_odd_hole(g.adj, g.vertex_mask)
 
 
-def find_odd_antihole(g: Graph, cap: int = DEFAULT_CAPS.odd_hole) -> int | None:
-    return _first_odd_hole(_co_rows(g.adj, g.vertex_mask), g.vertex_mask, cap)
+def find_odd_antihole(g: Graph) -> int | None:
+    return _first_odd_hole(_co_rows(g.adj, g.vertex_mask), g.vertex_mask)
 
 
-def _first_odd_hole(rows, mask, cap):
-    if mask.bit_count() > cap:
-        raise CapacityError("find_odd_hole", mask.bit_count(), cap)
+def _first_odd_hole(rows, mask):
+    if mask.bit_count() > SEARCH_CAP:
+        raise CapacityError("find_odd_hole", mask.bit_count(), SEARCH_CAP)
     return next(_odd_holes(rows, mask), None)
 
 
-def is_perfect(g: Graph, cap: int = DEFAULT_CAPS.odd_hole) -> bool:
+def is_perfect(g: Graph) -> bool:
     """No odd hole and no odd antihole."""
-    return is_perfect_induced(g, g.vertex_mask, cap)
+    return is_perfect_induced(g, g.vertex_mask)
 
 
-def is_perfect_induced(g: Graph, mask: int, cap: int = DEFAULT_CAPS.odd_hole) -> bool:
+def is_perfect_induced(g: Graph, mask: int) -> bool:
     """Whether G[mask] has no odd hole and no odd antihole."""
     if mask & ~g.vertex_mask:
         raise IndexError("subset mask has bits outside the vertex range")
-    return (_first_odd_hole(g.adj, mask, cap) is None
-            and _first_odd_hole(_co_rows(g.adj, mask), mask, cap) is None)
+    return (_first_odd_hole(g.adj, mask) is None
+            and _first_odd_hole(_co_rows(g.adj, mask), mask) is None)

@@ -55,26 +55,25 @@ def _vertex_mask(draw, n: int) -> int:
     )
 
 
+# induced subgraphs that make a vertex set imperfect: an odd hole or antihole
+_PLANTS = (Graph.cycle(5), Graph.cycle(7), Graph.cycle(7).complement())
+
+
 @st.composite
 def graphs_with_masks(draw, max_n: int = 8):
-    g = draw(graphs(max_n=max_n))
-    return g, _vertex_mask(draw, g.n)
-
-
-@st.composite
-def graphs_with_hole_masks(draw, max_n: int = 8):
-    """A graph and a vertex mask.  Odd holes are rare in small random graphs,
-    so on five or more vertices a C5 or C7 is often planted as an induced
-    subgraph on drawn vertices, and the mask then keeps them."""
-    g = draw(graphs(max_n=max_n))
-    lengths = [k for k in (5, 7) if k <= g.n]
+    """A graph and a vertex mask.  Odd holes and antiholes are rare in small
+    random graphs, so about half the draws plant an induced C5, C7 or co-C7
+    on drawn vertices, and the mask then keeps them."""
+    plants = [p for p in _PLANTS if p.n <= max_n]
+    plant = draw(st.sampled_from(plants)) if plants and draw(st.booleans()) else None
+    g = draw(graphs(min_n=plant.n if plant else 0, max_n=max_n))
     hole = 0
-    if lengths and draw(st.booleans()):
-        cycle = draw(st.permutations(range(g.n)))[:draw(st.sampled_from(lengths))]
-        hole = mask_of(cycle)
-        adj = [row & ~hole if v in cycle else row for v, row in enumerate(g.adj)]
-        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+    if plant:
+        at = draw(st.permutations(range(g.n)))[:plant.n]
+        hole = mask_of(at)
+        adj = [row & ~hole if v in at else row for v, row in enumerate(g.adj)]
+        for i, j in plant.edges():
+            adj[at[i]] |= 1 << at[j]
+            adj[at[j]] |= 1 << at[i]
         g = Graph(g.n, tuple(adj))
     return g, hole | _vertex_mask(draw, g.n)

@@ -20,7 +20,7 @@ from forkdiv.divisibility import (
 from forkdiv.graph import Graph, bits, mask_of
 from forkdiv.harness import random_gnp
 from forkdiv.limits import CapacityError, InvariantError
-from forkdiv.oracles import chromatic_number, clique_number, is_perfect
+from forkdiv.oracles import chromatic_number, clique_number, is_perfect, max_weight_clique
 from forkdiv.patterns import has_induced
 from strategies import connected_graphs, graphs, graphs_with_masks, weighted_graphs
 from test_oracles import petersen
@@ -47,7 +47,6 @@ def _revalidate(g, d):
     assert bruteforce.is_perfect(sub_a)
     if g.n:
         assert bruteforce.omega(sub_b) < bruteforce.omega(g)
-    assert d.a_is_perfect
     assert d.omega_b == bruteforce.omega(sub_b)
     assert d.omega == bruteforce.omega(g)
 
@@ -142,8 +141,12 @@ def test_exhaustive_branch_takes_largest_perfect_side(monkeypatch):
     assert d.strategy == "exhaustive"
     assert sorted(bits(d.a)) == [1, 2, 3, 4] and sorted(bits(d.b)) == [0]
     _revalidate(g, d)
-    with pytest.raises(CapacityError):
-        perfect_division(g, exhaustive_cap=4)
+    # the scan runs at the cap; one vertex over it, the odd-hole search of
+    # the first step refuses the graph before any table is built
+    d = perfect_division(g.disjoint_union(Graph.empty(11)))
+    assert d.strategy == "exhaustive" and sorted(bits(d.b)) == [0]
+    with pytest.raises(CapacityError, match="^find_odd_hole: graph has 17 vertices, cap is 16$"):
+        perfect_division(g.disjoint_union(Graph.empty(12)))
 
 
 def test_exhaustive_division_of_a_mask_maps_back_to_the_host(monkeypatch):
@@ -152,7 +155,7 @@ def test_exhaustive_division_of_a_mask_maps_back_to_the_host(monkeypatch):
     # neighbour outside the mask
     edges = [(1, 3), (3, 4), (4, 6), (6, 7), (7, 1), (0, 1), (2, 4), (5, 6)]
     g = Graph.from_edges(8, edges)
-    d = _divide_mask(g, mask_of([1, 3, 4, 6, 7]), 12)
+    d = _divide_mask(g, mask_of([1, 3, 4, 6, 7]))
     assert d.strategy == "exhaustive"
     assert sorted(bits(d.a)) == [3, 4, 6, 7] and sorted(bits(d.b)) == [1]
 
@@ -188,6 +191,17 @@ def test_weighted_rejects_bad_weights():
         divide_weighted(Graph.complete(2), (1, -2))
     with pytest.raises(ValueError):
         divide_weighted(Graph.complete(2), (0, 0))
+
+
+@pytest.mark.parametrize("entry, weights", [
+    (divide_weighted, [2.9, 1, 0.4]),  # int() would make (2, 1, 0)
+    (divide_weighted, [0.5, 0.5, 0.5]),  # int() would make all zero
+    (max_weight_clique, ["3", 1, 1]),  # int() would make (3, 1, 1)
+    (max_weight_clique, [True, 1, 1]),
+])
+def test_weights_must_be_plain_integers(entry, weights):
+    with pytest.raises(ValueError, match="^weights must be integers$"):
+        entry(Graph.path(3), weights)
 
 
 def test_module_recombination_on_forced_square():
@@ -364,7 +378,7 @@ def test_division_of_a_mask_matches_the_induced_copy(exhaustive_only, gm):
             mp.setattr(divisibility, "_divide_support", lambda g, u_mask, w: None)
         h, vmap = g.induced(mask)
         want = perfect_division(h)
-        got = _divide_mask(g, mask, 12)
+        got = _divide_mask(g, mask)
     assert (got is None) == (want is None)
     if want is not None:
         assert got.a == mask_of(vmap[i] for i in bits(want.a))

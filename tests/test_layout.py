@@ -1,0 +1,63 @@
+"""Guards on the package's layout: a stdlib-only runtime, brute-force
+oracles that share no code with production, and caps that are constants."""
+
+import ast
+import inspect
+import sys
+from pathlib import Path
+
+import forkdiv
+
+TESTS = Path(__file__).parent
+PACKAGE = Path(forkdiv.__file__).parent
+
+
+def _imports(path):
+    """(module, names) for every import statement in path; module is None
+    for a relative import."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, ()
+        elif isinstance(node, ast.ImportFrom):
+            names = tuple(alias.name for alias in node.names)
+            yield (None if node.level else node.module), names
+
+
+def test_runtime_imports_only_the_standard_library():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    foreign = {
+        (path.name, module)
+        for path in sources
+        for module, _ in _imports(path)
+        if module is not None and module.split(".")[0] not in sys.stdlib_module_names
+    }
+    assert foreign == set()
+
+
+def test_bruteforce_shares_only_the_graph_type_and_the_error_with_production():
+    allowed = {
+        "forkdiv.graph": {"Graph", "bits", "mask_of"},
+        "forkdiv.limits": {"CapacityError"},
+    }
+    for module, names in _imports(TESTS / "bruteforce.py"):
+        assert module is not None
+        if module.split(".")[0] == "forkdiv":
+            assert set(names) <= allowed.get(module, set()), module
+
+
+def test_no_public_callable_takes_a_cap():
+    capped = set()
+    for name in forkdiv.__all__:
+        obj = getattr(forkdiv, name)
+        if name == "CapacityError" or not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except ValueError:  # a builtin's, such as InvariantError's inherited __init__
+            continue
+        for param in params:
+            if param == "cap" or param.endswith("_cap"):
+                capped.add(f"{name}({param})")
+    assert capped == set()

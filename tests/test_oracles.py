@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 
 import bruteforce
+from forkdiv.divisibility import color_by_division, is_perfectly_divisible_exact, perfect_division
 from forkdiv.formats import emit_graph6, parse_graph6
-from forkdiv.graph import Graph, bits, mask_of
-from forkdiv.harness import graphs_up_to, random_gnp
-from forkdiv.limits import CapacityError
+from forkdiv.graph import Graph, are_isomorphic, bits, canonical_form, mask_of
+from forkdiv.harness import enumerate_nonisomorphic, graphs_up_to, random_gnp
+from forkdiv.limits import CANONICAL_CAP, ENUMERATION_CAP, SEARCH_CAP, CapacityError
 from forkdiv.oracles import (
     _co_rows,
     _exact_coloring,
@@ -26,7 +27,7 @@ from forkdiv.oracles import (
     max_clique,
     max_weight_clique,
 )
-from strategies import graphs, graphs_with_hole_masks, graphs_with_masks, weighted_graphs
+from strategies import graphs, graphs_with_masks, weighted_graphs
 
 
 def petersen() -> Graph:
@@ -155,14 +156,14 @@ def test_exact_coloring_on_a_mask_matches_the_induced_copy(gm):
     want = [-1] * g.n
     for i, c in enumerate(exact_coloring(h)):
         want[vmap[i]] = c
-    assert _exact_coloring(g.adj, mask, 16) == want
+    assert _exact_coloring(g.adj, mask) == want
 
 
 def test_exact_coloring_on_a_mask_takes_degrees_within_the_mask():
     # 2K2 on the mask {0, 1, 3, 4}; vertex 4 has a second neighbour, 2,
     # outside it, so it must not win the DSATUR tie against vertex 1
     g = Graph.from_edges(5, [(0, 3), (1, 4), (2, 4)])
-    assert _exact_coloring(g.adj, 0b11011, 16) == [0, 0, -1, 1, 1]
+    assert _exact_coloring(g.adj, 0b11011) == [0, 0, -1, 1, 1]
 
 
 @given(graphs(min_n=1, max_n=6))
@@ -219,7 +220,7 @@ def test_odd_hole_agrees_with_subset_enumeration(g):
 
 
 @settings(max_examples=150)
-@given(graphs_with_hole_masks(max_n=8))
+@given(graphs_with_masks(max_n=8))
 def test_odd_holes_yields_every_hole_once(case):
     g, mask = case
     h, vmap = g.induced(mask)
@@ -299,8 +300,6 @@ def test_perfection_of_submask_errors():
         is_perfect_induced(Graph.cycle(5), -1)
     with pytest.raises(CapacityError):
         is_perfect_induced(Graph.empty(20), mask_of(range(17)))
-    with pytest.raises(CapacityError):
-        is_perfect_induced(Graph.cycle(7), mask_of(range(7)), cap=6)
 
 
 @given(graphs(max_n=6))
@@ -316,3 +315,45 @@ def test_capacity_errors():
         find_odd_hole(Graph.empty(20))
     with pytest.raises(CapacityError):
         bruteforce.find_odd_hole_subsets(Graph.empty(11))
+
+
+# every public exponential entry point, one vertex over its cap, with the
+# message that CLI error rows and verify skips carry.  graphs_up_to(9) is
+# left out: it builds every level up to 8 (about 11 s) before it refuses.
+# perfect_division and color_by_division first run the odd-hole search.
+OVER_THE_CAP = [
+    ("canonical_form", canonical_form, Graph.empty(11),
+     "canonical_form: graph has 11 vertices, cap is 10"),
+    ("are_isomorphic", lambda g: are_isomorphic(g, g), Graph.empty(11),
+     "canonical_form: graph has 11 vertices, cap is 10"),
+    ("enumerate_nonisomorphic", enumerate_nonisomorphic, 9,
+     "enumerate_nonisomorphic: graph has 9 vertices, cap is 8"),
+    ("exact_coloring", exact_coloring, Graph.empty(17),
+     "exact_coloring: graph has 17 vertices, cap is 16"),
+    ("chromatic_number", chromatic_number, Graph.empty(17),
+     "exact_coloring: graph has 17 vertices, cap is 16"),
+    ("find_odd_hole", find_odd_hole, Graph.empty(17),
+     "find_odd_hole: graph has 17 vertices, cap is 16"),
+    ("find_odd_antihole", find_odd_antihole, Graph.empty(17),
+     "find_odd_hole: graph has 17 vertices, cap is 16"),
+    ("is_perfect", is_perfect, Graph.empty(17),
+     "find_odd_hole: graph has 17 vertices, cap is 16"),
+    ("is_perfect_induced", lambda g: is_perfect_induced(g, g.vertex_mask), Graph.empty(17),
+     "find_odd_hole: graph has 17 vertices, cap is 16"),
+    ("perfect_division", perfect_division, Graph.empty(17),
+     "find_odd_hole: graph has 17 vertices, cap is 16"),
+    ("color_by_division", color_by_division, Graph.empty(17),
+     "find_odd_hole: graph has 17 vertices, cap is 16"),
+    ("is_perfectly_divisible_exact", is_perfectly_divisible_exact, Graph.empty(17),
+     "is_perfectly_divisible_exact: graph has 17 vertices, cap is 16"),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, arg, message", [pytest.param(*row[1:], id=row[0]) for row in OVER_THE_CAP]
+)
+def test_entry_points_refuse_one_vertex_over_their_cap(entry, arg, message):
+    assert (CANONICAL_CAP, ENUMERATION_CAP, SEARCH_CAP) == (10, 8, 16)
+    with pytest.raises(CapacityError) as exc:
+        entry(arg)
+    assert str(exc.value) == message
