@@ -27,7 +27,6 @@ from .oracles import (
     _max_clique_size,
     _max_weight_value,
     _odd_holes,
-    clique_number,
     is_perfect_induced,
 )
 
@@ -64,18 +63,18 @@ class Division:
         return out
 
 
-def _certify(g, a, b, strategy, pivot=None, w=None, within=None) -> Division:
+def _certify(g, a, b, strategy, pivot=None, w=None, within=None, omega=None) -> Division:
     """Assemble a Division of G[within] (default: all of G), re-deriving its
     certificate from the oracles: a and b partition within, G[a] is perfect,
     and omega drops on b (when within is nonempty) or, under weights w, the
-    max clique weight does."""
+    max clique weight does; omega(G[within]) may come from an earlier certificate."""
     within = g.vertex_mask if within is None else within
     if a & b or (a | b) != within:
         raise InvariantError(f"{strategy}: sides do not partition the vertex set")
     if not is_perfect_induced(g, a):
         raise InvariantError(f"{strategy}: side A is not perfect (a={sorted(bits(a))})")
     omega_b = _max_clique_size(g.adj, b)
-    omega = _max_clique_size(g.adj, within)
+    omega = _max_clique_size(g.adj, within) if omega is None else omega
     omega_w_b = omega_w = None
     if w is not None:
         omega_w_b = _max_weight_value(g.adj, w, b)
@@ -105,22 +104,22 @@ def perfect_division(g: Graph) -> Division | None:
     return _divide_mask(g, g.vertex_mask)
 
 
-def _divide_mask(g, mask):
-    """perfect_division of G[mask], with both sides as masks of g.  Only the
-    exhaustive fallback compacts G[mask] into a copy, for its dense tables."""
+def _divide_mask(g, mask, omega=None):
+    """perfect_division of G[mask], with both sides as masks of g (omega as
+    for _certify).  Only the exhaustive fallback copies G[mask], for tables."""
     if is_perfect_induced(g, mask):
-        return _certify(g, mask, 0, "perfect-whole", within=mask)
+        return _certify(g, mask, 0, "perfect-whole", within=mask, omega=omega)
     res = _divide_support(g, mask, (1,) * g.n)
     if res is not None:
         a, b, strategy, pivot = res
-        return _certify(g, a, b, strategy, pivot, within=mask)
+        return _certify(g, a, b, strategy, pivot, within=mask, omega=omega)
     # is_perfect_induced above refused a mask over SEARCH_CAP, so the tables are bounded
     h, vmap = g.induced(mask)
     a = _division_scan(h.vertex_mask, _omega_table(h), _imperfect_table(h))
     if a is None:
         return None
     a = mask_of(vmap[i] for i in bits(a))
-    return _certify(g, a, mask & ~a, "exhaustive", within=mask)
+    return _certify(g, a, mask & ~a, "exhaustive", within=mask, omega=omega)
 
 
 def divide_weighted(g: Graph, w) -> Division | None:
@@ -295,24 +294,22 @@ def color_by_division(g: Graph) -> ColoringCertificate:
     remaining = g.vertex_mask
     next_color = 0
     fallback = False
-    omega = None  # omega(G), from the first layer's certificate
-    while remaining:
-        d = _divide_mask(g, remaining)
+    omega = 0  # omega(G), from the first layer
+    while remaining:  # the last layer's certificate measured omega of the residual
+        d = _divide_mask(g, remaining, d.omega_b if layers else None)
         fallback = d is None
         a, b, strategy = (remaining, 0, "fallback-exact") if fallback else (d.a, d.b, d.strategy)
-        if omega is None and not fallback:
-            omega = d.omega
-        layer_colors = _exact_coloring(g.adj, a)
+        layer_colors, omega_a = _exact_coloring(g.adj, a)
         k = max(layer_colors) + 1
-        if not fallback and k != _max_clique_size(g.adj, a):
+        if not fallback and k != omega_a:
             raise InvariantError("perfect layer did not colour with omega colours")
+        if not layers:
+            omega = omega_a if fallback else d.omega
         for v in bits(a):
             colors[v] = next_color + layer_colors[v]
         layers.append(ColorLayer(a, b, strategy, tuple(range(next_color, next_color + k))))
         next_color += k
         remaining = b
-    if omega is None:  # no vertices, or no division of G at all
-        omega = clique_number(g)
     return ColoringCertificate(
         colors=tuple(colors),
         palette=next_color,

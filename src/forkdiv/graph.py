@@ -227,7 +227,8 @@ def _refine(adj: tuple[int, ...]) -> list[int]:
     of its neighbours in each cell) and orders the new colours by that
     signature, so the cell order is invariant under isomorphism.  The
     signature leads with the old colour, so a round splits each cell in
-    place.  Stops once a round leaves the number of cells unchanged.
+    place; its counts, 4 bits each in one int, order as their tuple (each
+    is at most CANONICAL_CAP - 1 = 9).  Stops once the cell count holds.
     """
     n = len(adj)
     by_degree: dict[int, int] = {}
@@ -238,14 +239,17 @@ def _refine(adj: tuple[int, ...]) -> list[int]:
     while len(cells) < n:
         split: list[int] = []
         for cell in cells:
-            if cell & (cell - 1) == 0:  # a single vertex cannot split
-                split.append(cell)
-                continue
-            parts: dict[tuple[int, ...], int] = {}
-            for v in bits(cell):
-                sig = (*[(adj[v] & m).bit_count() for m in cells],)
-                parts[sig] = parts.get(sig, 0) | 1 << v
-            split.extend(parts[sig] for sig in sorted(parts))
+            parts: dict[int, int] = {}
+            rest = cell if cell & (cell - 1) else 0  # a single vertex cannot split
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row = adj[low.bit_length() - 1]
+                sig = 0
+                for m in cells:
+                    sig = sig << 4 | (row & m).bit_count()
+                parts[sig] = parts.get(sig, 0) | low
+            split += [cell] if len(parts) < 2 else [parts[sig] for sig in sorted(parts)]
         if len(split) == len(cells):
             break
         cells = split
@@ -290,24 +294,27 @@ def canonical_form(g: Graph) -> bytes:
             return
         lowest = -1
         cands: list[int] = []
-        for v in bits(slot[k] & ~used):
+        free = slot[k] & ~used
+        while free:
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            row = adj[v]
             val = 0
             for u in order:
-                val = val << 1 | (adj[v] >> u & 1)
+                val = val << 1 | (row >> u & 1)
             if lowest < 0 or val < lowest:
                 lowest = val
                 cands = [v]
             elif val == lowest:
-                cands.append(v)
-        if best is not None:
-            prefix = best[:k]
-            if groups > prefix or (groups == prefix and lowest > best[k]):
-                return
-        kept: list[int] = []
+                for u in cands:
+                    if not (row ^ adj[u]) & ~(1 << u | 1 << v):
+                        break  # twins (see _are_twins): one stands for both
+                else:
+                    cands.append(v)
+        if best is not None and groups + [lowest] > best[: k + 1]:
+            return
         for v in cands:
-            if any(_are_twins(adj, v, u) for u in kept):
-                continue
-            kept.append(v)
             order.append(v)
             groups.append(lowest)
             rec(used | 1 << v)

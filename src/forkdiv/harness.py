@@ -17,7 +17,7 @@ from functools import lru_cache
 from . import formats
 from .decomposition import find_homogeneous_set
 from .divisibility import is_perfectly_divisible_exact, line_graph_division, color_by_division
-from .graph import Graph, bits, canonical_form
+from .graph import Graph, _are_twins, bits, canonical_form
 from .limits import ENUMERATION_CAP, CapacityError, InvariantError
 from .oracles import _first_odd_hole, chromatic_number, clique_number, is_perfect_induced
 from .patterns import CLASS_BOUNDS, _claw_triple, _iter_induced, find_induced, pattern
@@ -31,9 +31,14 @@ def enumerate_nonisomorphic(n: int) -> list[Graph]:
     """All non-isomorphic graphs on exactly n vertices.
 
     Extends each representative on n-1 vertices by one vertex over every
-    possible neighbourhood and keeps first representatives by canonical
-    form.  Any n-vertex graph arises this way from deleting its last
-    vertex's image, so the sweep is exhaustive.
+    possible neighbourhood, in ascending order, and keeps first
+    representatives by canonical form.  Any n-vertex graph arises this way
+    from deleting its last vertex's image, so the sweep is exhaustive.
+
+    Twin-orbit pruning skips, unlabelled, each nb holding v but not u for
+    twins u < v of the parent: swapping them is an automorphism mapping nb
+    to the smaller nb - v + u, met earlier, so by induction on nb the child's
+    key is already in `seen`, and every level keeps the same graphs in order.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -44,8 +49,12 @@ def enumerate_nonisomorphic(n: int) -> list[Graph]:
         seen: set[bytes] = set()
         level: list[Graph] = []
         for g in _LEVELS[k - 1]:
+            twins = [(1 << u | 1 << v, 1 << v)
+                     for v in range(k - 1) for u in range(v) if _are_twins(g.adj, u, v)]
             base = list(g.adj) + [0]
             for nb in range(1 << (k - 1)):
+                if any(nb & pair == high for pair, high in twins):
+                    continue
                 adj = base.copy()
                 adj[k - 1] = nb
                 for v in bits(nb):
@@ -60,6 +69,8 @@ def enumerate_nonisomorphic(n: int) -> list[Graph]:
 
 
 def graphs_up_to(n: int) -> list[Graph]:
+    if n > ENUMERATION_CAP:  # refuse as the first level over the cap would, before any work
+        raise CapacityError("enumerate_nonisomorphic", ENUMERATION_CAP + 1, ENUMERATION_CAP)
     out: list[Graph] = []
     for k in range(1, n + 1):
         out.extend(enumerate_nonisomorphic(k))

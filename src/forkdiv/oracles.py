@@ -177,12 +177,12 @@ def exact_coloring(g: Graph) -> tuple[int, ...]:
 
     Clique-seeded saturation-degree branch and bound; deterministic.
     """
-    return tuple(_exact_coloring(g.adj, g.vertex_mask))
+    return tuple(_exact_coloring(g.adj, g.vertex_mask)[0])
 
 
 def _exact_coloring(adj, mask):
-    """exact_coloring of the subgraph induced on mask, as a list over all
-    rows of adj; vertices outside mask keep colour -1.
+    """exact_coloring of the subgraph induced on mask as a list over all rows
+    of adj (-1 outside mask), and its clique number, the seed clique's size.
 
     DSATUR branch and bound on colour classes kept as vertex masks, with
     one class opened by each vertex of the lexicographically first maximum
@@ -228,7 +228,7 @@ def _exact_coloring(adj, mask):
     for c, cls in enumerate(best):
         for v in bits(cls):
             colors[v] = c
-    return colors
+    return colors, seed.bit_count()
 
 
 def chromatic_number(g: Graph) -> int:

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
-from forkdiv import divisibility, formats
+from forkdiv import divisibility, formats, oracles
 from forkdiv.divisibility import (
     _certify,
     _divide_mask,
@@ -20,7 +20,13 @@ from forkdiv.divisibility import (
 from forkdiv.graph import Graph, bits, mask_of
 from forkdiv.harness import random_gnp
 from forkdiv.limits import CapacityError, InvariantError
-from forkdiv.oracles import chromatic_number, clique_number, is_perfect, max_weight_clique
+from forkdiv.oracles import (
+    _max_clique_size,
+    chromatic_number,
+    clique_number,
+    is_perfect,
+    max_weight_clique,
+)
 from forkdiv.patterns import has_induced
 from strategies import connected_graphs, graphs, graphs_with_masks, weighted_graphs
 from test_oracles import petersen
@@ -358,14 +364,27 @@ def test_coloring_falls_back_when_division_is_impossible():
 
 
 def test_coloring_takes_omega_from_the_first_certificate(monkeypatch):
-    # omega(G) is computed again only when no layer's certificate carries it
-    calls = []
-    monkeypatch.setattr(divisibility, "clique_number", lambda g: calls.append(g) or clique_number(g))
-    assert color_by_division(petersen()).bound_value == 3
-    assert calls == []
-    assert color_by_division(MYCIELSKI_C5).bound_value == 3
-    assert color_by_division(Graph.empty(0)).bound_value == 0
-    assert calls == [MYCIELSKI_C5, Graph.empty(0)]
+    # omega(G) comes from the first layer: its certificate, or the seed clique
+    # of the exact colouring when G has no division.  Each certificate hands
+    # omega of the residual to the next layer and a perfect side's colouring
+    # reports its own, so no mask is searched twice but the last layer's when
+    # it is perfect-whole: its colouring seeds from a fresh clique search.
+    searched = []
+
+    def counted(adj, cand):
+        searched.append(cand)
+        return _max_clique_size(adj, cand)
+
+    monkeypatch.setattr(oracles, "_max_clique_size", counted)
+    monkeypatch.setattr(divisibility, "_max_clique_size", counted)
+    for g, bound in [(petersen(), 3), (MYCIELSKI_C5, 3), (Graph.complete(4), 10),
+                     (Graph.empty(0), 0)]:
+        searched.clear()
+        cert = color_by_division(g)
+        assert cert.bound_value == bound
+        twice = {m for m in searched if searched.count(m) > 1}
+        last = cert.layers[-1] if cert.layers else None
+        assert twice == ({last.a} if last and last.strategy == "perfect-whole" else set())
 
 
 @pytest.mark.parametrize("exhaustive_only", [False, True])

@@ -2,10 +2,12 @@ import hashlib
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bruteforce
 from forkdiv.formats import emit_graph6
-from forkdiv.graph import Graph, bits, canonical_form
+from forkdiv.graph import Graph, _are_twins, bits, canonical_form
 from forkdiv import harness
 from forkdiv.harness import (
     CHECKS,
@@ -49,8 +51,76 @@ def test_enumeration_capacity():
         enumerate_nonisomorphic(9)
 
 
+def _child(p, nb):
+    """p plus a last vertex adjacent to the vertex set nb."""
+    k = p.n
+    rows = tuple(row | (nb >> v & 1) << k for v, row in enumerate(p.adj))
+    return Graph(k + 1, rows + (nb,))
+
+
+@st.composite
+def twin_skips(draw):
+    """A parent on at most 6 vertices, one of its twin pairs u < v, and a
+    neighbourhood holding v but not u: one that the enumerator skips.  The
+    parent's last vertex is planted as a twin of a drawn vertex, so every
+    parent has a twin pair."""
+    g = draw(graphs(min_n=1, max_n=5))
+    w = draw(st.integers(0, g.n - 1))
+    parent = _child(g, g.adj[w] | (1 << w if draw(st.booleans()) else 0))
+    pairs = [(u, v) for u, v in combinations(range(parent.n), 2) if _are_twins(parent.adj, u, v)]
+    u, v = draw(st.sampled_from(pairs))
+    nb = draw(st.integers(0, parent.vertex_mask)) & ~(1 << u) | 1 << v
+    return parent, u, v, nb
+
+
+@settings(max_examples=40, deadline=None)
+@given(twin_skips())
+def test_twin_pruning_skips_only_isomorphic_children(case):
+    # swapping twins is an automorphism of the parent, so the skipped child
+    # is isomorphic to the child of the smaller neighbourhood nb - v + u
+    parent, u, v, nb = case
+    swapped = nb & ~(1 << v) | 1 << u
+    assert swapped < nb
+    assert bruteforce.canonical(_child(parent, nb)) == bruteforce.canonical(_child(parent, swapped))
+
+
+def test_pruned_levels_match_an_unpruned_sweep():
+    # every neighbourhood of every parent, first representatives kept by the
+    # brute-force canonical form: the same graphs in the same order
+    level = [Graph.empty(0)]
+    for k in range(1, 6):
+        seen, nxt = set(), []
+        for parent in level:
+            for nb in range(1 << (k - 1)):
+                child = _child(parent, nb)
+                key = bruteforce.canonical(child)
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(child)
+        level = nxt
+        assert enumerate_nonisomorphic(k) == level
+
+
+def test_enumeration_labels_only_unpruned_candidates(monkeypatch):
+    # a deterministic guard on twin-orbit pruning: building levels 1-7 labels
+    # 7,195 candidates, where the unpruned sweep labels 11,291
+    monkeypatch.setattr(harness, "_LEVELS", [[Graph.empty(0)]])
+    calls = []
+    monkeypatch.setattr(harness, "canonical_form", lambda g: calls.append(g) or canonical_form(g))
+    enumerate_nonisomorphic(7)
+    assert len(calls) == 7195
+
+
 def test_graphs_up_to_is_cumulative():
     assert len(graphs_up_to(5)) == 1 + 2 + 4 + 11 + 34
+
+
+def test_graphs_up_to_refuses_before_building_a_level(monkeypatch):
+    monkeypatch.setattr(harness, "_LEVELS", [[Graph.empty(0)]])
+    with pytest.raises(CapacityError) as exc:
+        graphs_up_to(9)
+    assert str(exc.value) == "enumerate_nonisomorphic: graph has 9 vertices, cap is 8"
+    assert len(harness._LEVELS) == 1
 
 
 def test_gnp_extremes_and_determinism():

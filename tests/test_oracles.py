@@ -156,14 +156,14 @@ def test_exact_coloring_on_a_mask_matches_the_induced_copy(gm):
     want = [-1] * g.n
     for i, c in enumerate(exact_coloring(h)):
         want[vmap[i]] = c
-    assert _exact_coloring(g.adj, mask) == want
+    assert _exact_coloring(g.adj, mask) == (want, clique_number(h))
 
 
 def test_exact_coloring_on_a_mask_takes_degrees_within_the_mask():
     # 2K2 on the mask {0, 1, 3, 4}; vertex 4 has a second neighbour, 2,
     # outside it, so it must not win the DSATUR tie against vertex 1
     g = Graph.from_edges(5, [(0, 3), (1, 4), (2, 4)])
-    assert _exact_coloring(g.adj, 0b11011) == [0, 0, -1, 1, 1]
+    assert _exact_coloring(g.adj, 0b11011) == ([0, 0, -1, 1, 1], 2)
 
 
 @given(graphs(min_n=1, max_n=6))
@@ -318,15 +318,17 @@ def test_capacity_errors():
 
 
 # every public exponential entry point, one vertex over its cap, with the
-# message that CLI error rows and verify skips carry.  graphs_up_to(9) is
-# left out: it builds every level up to 8 (about 11 s) before it refuses.
-# perfect_division and color_by_division first run the odd-hole search.
+# message that CLI error rows and verify skips carry.  graphs_up_to refuses
+# as the first level over the cap would; perfect_division and
+# color_by_division first run the odd-hole search.
 OVER_THE_CAP = [
     ("canonical_form", canonical_form, Graph.empty(11),
      "canonical_form: graph has 11 vertices, cap is 10"),
     ("are_isomorphic", lambda g: are_isomorphic(g, g), Graph.empty(11),
      "canonical_form: graph has 11 vertices, cap is 10"),
     ("enumerate_nonisomorphic", enumerate_nonisomorphic, 9,
+     "enumerate_nonisomorphic: graph has 9 vertices, cap is 8"),
+    ("graphs_up_to", graphs_up_to, 9,
      "enumerate_nonisomorphic: graph has 9 vertices, cap is 8"),
     ("exact_coloring", exact_coloring, Graph.empty(17),
      "exact_coloring: graph has 17 vertices, cap is 16"),
