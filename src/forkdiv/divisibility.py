@@ -188,7 +188,7 @@ def _imperfect_table(g: Graph) -> bytes:
     of its complement and lift every mark onto all supersets, one vertex v
     at a time.  The 0/1 bytes are read as one little-endian integer, so
     lifting along v is a single shift by 2**v bytes; or-ing 0/1 bytes never
-    carries.
+    carries.  With no mark, G and all its induced subgraphs are perfect.
     """
     size = 1 << g.n
     full = g.vertex_mask
@@ -196,6 +196,8 @@ def _imperfect_table(g: Graph) -> bytes:
     for rows in (g.adj, _co_rows(g.adj, full)):
         for hole in _odd_holes(rows, full):
             marks[hole] = 1
+    if 1 not in marks:
+        return bytes(marks)
     x = int.from_bytes(marks, "little")
     for v in range(g.n):
         step = 1 << v
@@ -230,17 +232,20 @@ def _division_scan(h, omega, imperfect) -> int | None:
 def is_perfectly_divisible_exact(g: Graph) -> bool:
     """Whether every induced subgraph admits a division; exhaustive.
 
-    Perfection of all 2**n submasks comes from one odd-hole table; each
-    imperfect h then needs one scan of its submasks a for a perfect a with
-    omega(h - a) < omega(h).
+    Perfection of all 2**n submasks comes from one odd-hole table.  A
+    perfect H divides as A = V(H), B empty, so only the imperfect h need a
+    scan, in descending order, for a perfect submask a with omega(h - a) <
+    omega(h); a perfect G needs none, and no omega table.
     """
     if g.n > SEARCH_CAP:
         raise CapacityError("is_perfectly_divisible_exact", g.n, SEARCH_CAP)
-    omega = _omega_table(g)
     imperfect = _imperfect_table(g)
-    for h in range(g.vertex_mask, 0, -1):
-        if imperfect[h] and _division_scan(h, omega, imperfect) is None:
+    h = imperfect.rfind(1)
+    omega = _omega_table(g) if h > 0 else None
+    while h > 0:
+        if _division_scan(h, omega, imperfect) is None:
             return False
+        h = imperfect.rfind(1, 0, h)
     return True
 
 
@@ -299,7 +304,7 @@ def color_by_division(g: Graph) -> ColoringCertificate:
         d = _divide_mask(g, remaining, d.omega_b if layers else None)
         fallback = d is None
         a, b, strategy = (remaining, 0, "fallback-exact") if fallback else (d.a, d.b, d.strategy)
-        layer_colors, omega_a = _exact_coloring(g.adj, a)
+        layer_colors, omega_a = _exact_coloring(g.adj, a, None if fallback or d.b else d.omega)
         k = max(layer_colors) + 1
         if not fallback and k != omega_a:
             raise InvariantError("perfect layer did not colour with omega colours")

@@ -49,15 +49,19 @@ class Graph:
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count does not match n")
         full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        for v, row in enumerate(adj := self.adj):
             if row & ~full:
                 raise ValueError(f"adjacency row {v} has bits outside 0..{self.n - 1}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v, row in enumerate(self.adj):
-            for u in bits(row):
-                if not self.adj[u] >> v & 1:
-                    raise ValueError(f"asymmetric edge {v}-{u}")
+        for v, row in enumerate(adj):
+            col = 0  # column v above the diagonal, as a row below it
+            for u in range(v):
+                col |= (adj[u] >> v & 1) << u
+            if col != row & ((1 << v) - 1):
+                v, u = next((v, u) for v, row in enumerate(adj) for u in bits(row)
+                            if not adj[u] >> v & 1)
+                raise ValueError(f"asymmetric edge {v}-{u}")
 
     # -- constructors -------------------------------------------------
 

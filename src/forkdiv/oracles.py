@@ -14,7 +14,7 @@ break toward the lexicographically smallest vertex set.
 from __future__ import annotations
 
 from .graph import Graph, bits
-from .limits import SEARCH_CAP, CapacityError
+from .limits import SEARCH_CAP, CapacityError, InvariantError
 
 
 def _color_classes(adj, cand):
@@ -76,13 +76,13 @@ def max_clique(g: Graph) -> int:
     return _max_clique(g.adj, g.vertex_mask)
 
 
-def _max_clique(adj, mask):
+def _max_clique(adj, mask, size=None):
     """The lexicographically first clique of maximum size within mask.
 
-    One size search, then a search that tries candidates in ascending order,
-    each narrowing the rest to its later neighbours.  A branch is pruned
-    when fewer vertices remain than the clique still needs or, once it needs
-    three or more, fewer colour classes."""
+    One size search (unless size is given), then a search that tries
+    candidates in ascending order, each narrowing the rest to its later
+    neighbours.  A branch is pruned when fewer vertices remain than the
+    clique still needs or, once it needs three or more, fewer classes."""
 
     def first(chosen, cand, need):
         if not need:
@@ -97,7 +97,10 @@ def _max_clique(adj, mask):
                 return found
         return None
 
-    return first(0, mask, _max_clique_size(adj, mask))
+    found = first(0, mask, size or _max_clique_size(adj, mask))
+    if found is None:
+        raise InvariantError(f"no clique of size {size} within the mask")
+    return found
 
 
 def independence_number(g: Graph) -> int:
@@ -180,9 +183,10 @@ def exact_coloring(g: Graph) -> tuple[int, ...]:
     return tuple(_exact_coloring(g.adj, g.vertex_mask)[0])
 
 
-def _exact_coloring(adj, mask):
+def _exact_coloring(adj, mask, omega=None):
     """exact_coloring of the subgraph induced on mask as a list over all rows
-    of adj (-1 outside mask), and its clique number, the seed clique's size.
+    of adj (-1 outside mask), and its clique number, the seed clique's size;
+    a clique number omega known to the caller spares the size search.
 
     DSATUR branch and bound on colour classes kept as vertex masks, with
     one class opened by each vertex of the lexicographically first maximum
@@ -220,7 +224,7 @@ def _exact_coloring(adj, mask):
             solve(uncolored ^ bit)
             classes.pop()
 
-    seed = _max_clique(adj, mask)
+    seed = _max_clique(adj, mask, omega)
     classes = [1 << v for v in bits(seed)]
     best = [0] * (mask.bit_count() + 1)  # more classes than any colouring
     solve(mask & ~seed)

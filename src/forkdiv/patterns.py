@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graph import Graph, bits
+from .graph import Graph, _are_twins, bits
 from .oracles import clique_number
 
 
@@ -129,10 +129,14 @@ class PatternWitness:
 
 @lru_cache(maxsize=64)
 def _plan(pat: Graph):
-    """Steps (vertices by descending degree), their degrees, and adjacency to later steps."""
+    """Steps (vertices by descending degree), their degrees, adjacency to later
+    steps, and per step each twin class with 2+ later members, as (first, size)."""
     order = sorted(range(pat.n), key=lambda v: (-pat.degree(v), v))
     links = tuple(tuple(pat.has_edge(u, w) for w in order[i + 1 :]) for i, u in enumerate(order))
-    return tuple(order), tuple(pat.degree(u) for u in order), links
+    heads = [next(t for t in order if _are_twins(pat.adj, t, u)) for u in order]
+    tails = [heads[i + 1 :] for i in range(pat.n)]
+    crowds = tuple(tuple((c.index(t), c.count(t)) for t in set(c) if c.count(t) > 1) for c in tails)
+    return tuple(order), tuple(pat.degree(u) for u in order), links, crowds
 
 
 def iter_induced(host: Graph, pat: Graph):
@@ -144,6 +148,9 @@ def iter_induced(host: Graph, pat: Graph):
     masks: each later step keeps a domain of degree-feasible host vertices,
     cut to the neighbours or non-neighbours of every placed vertex as the
     pattern demands, and a placement that empties a domain is pruned.
+    Unplaced pattern twins (graph._are_twins) share one domain, free of
+    placed host vertices; a placement leaving it fewer vertices than the
+    class has unplaced members is pruned too.  No cut drops an embedding.
     """
     return _iter_induced(host.adj, host.vertex_mask, pat)
 
@@ -157,7 +164,7 @@ def _iter_induced(adj, mask, pat):
     if p == 0:
         yield ()
         return
-    order, degs, links = _plan(pat)
+    order, degs, links, crowds = _plan(pat)
     co = [mask & ~(row | 1 << v) for v, row in enumerate(adj)]
     by_degree = [0] * n
     for v in bits(mask):
@@ -182,7 +189,7 @@ def _iter_induced(adj, mask, pat):
             continue
         a, c = adj[hv], co[hv]
         later = [d & (a if e else c) for d, e in zip(rest[i], links[i])]
-        if all(later):
+        if all(later) and (not crowds[i] or all(later[j].bit_count() >= k for j, k in crowds[i])):
             i += 1
             left[i] = later[0]
             rest[i] = later[1:]

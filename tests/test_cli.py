@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -292,6 +293,15 @@ def test_verify_is_byte_deterministic(capsys):
     assert main(["verify", "--check", "all", "--all", "4"]) == 0
     second, _ = capsys.readouterr()
     assert first == second
+
+
+def test_verify_envelope_is_pinned(capsys):
+    # the acceptance run's envelope, byte for byte: speed work must not move it
+    assert main(["verify", "--check", "all", "--all", "7"]) == 0
+    out, _ = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a01145c233c97684e55864a2a91df1a8700080d2a3ba3edf833a5fa9974b02b7"
+    )
 
 
 def test_verify_from_corpus_file(tmp_path, capsys):

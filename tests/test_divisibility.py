@@ -302,6 +302,42 @@ def test_imperfect_table_sees_odd_antiholes(g):
     assert [not x for x in _imperfect_table(g)] == bruteforce.perfect_table(g)
 
 
+# K3,3, the complement of P6 and the 3x3 rook's graph L(K3,3)
+PERFECT = [Graph.complete_bipartite(3, 3), Graph.path(6).complement(),
+           Graph.complete_bipartite(3, 3).line_graph()[0]]
+
+
+def count_omega_tables(monkeypatch):
+    built = []
+
+    def counted(g):
+        built.append(g)
+        return _omega_table(g)
+
+    monkeypatch.setattr(divisibility, "_omega_table", counted)
+    return built
+
+
+def test_perfect_graphs_build_no_omega_table(monkeypatch):
+    built = count_omega_tables(monkeypatch)
+    for g in PERFECT:
+        assert is_perfect(g)
+        assert is_perfectly_divisible_exact(g)
+        assert _imperfect_table(g) == bytes(1 << g.n)
+    assert built == []
+    assert is_perfectly_divisible_exact(Graph.cycle(5))
+    assert built == [Graph.cycle(5)]
+
+
+def test_omega_tables_are_built_exactly_for_imperfect_graphs(monkeypatch):
+    hunt = (random_gnp(9, 0.7, seed) for seed in range(1000))
+    hunt = [g for g in hunt if not has_induced(g, "fork")][:100]
+    built = count_omega_tables(monkeypatch)
+    assert all(is_perfectly_divisible_exact(g) for g in hunt)
+    imperfect = [g for g in hunt if not bruteforce.is_perfect(g)]
+    assert built == imperfect and 0 < len(imperfect) < 100
+
+
 @given(graphs(max_n=8))
 def test_omega_table_matches_brute_force(g):
     assert _omega_table(g) == bruteforce.omega_table(g)
@@ -366,9 +402,9 @@ def test_coloring_falls_back_when_division_is_impossible():
 def test_coloring_takes_omega_from_the_first_certificate(monkeypatch):
     # omega(G) comes from the first layer: its certificate, or the seed clique
     # of the exact colouring when G has no division.  Each certificate hands
-    # omega of the residual to the next layer and a perfect side's colouring
-    # reports its own, so no mask is searched twice but the last layer's when
-    # it is perfect-whole: its colouring seeds from a fresh clique search.
+    # omega of the residual to the next layer, a perfect side's colouring
+    # reports its own, and a perfect-whole layer's colouring takes omega from
+    # its certificate, so no mask is searched twice.
     searched = []
 
     def counted(adj, cand):
@@ -377,14 +413,19 @@ def test_coloring_takes_omega_from_the_first_certificate(monkeypatch):
 
     monkeypatch.setattr(oracles, "_max_clique_size", counted)
     monkeypatch.setattr(divisibility, "_max_clique_size", counted)
-    for g, bound in [(petersen(), 3), (MYCIELSKI_C5, 3), (Graph.complete(4), 10),
-                     (Graph.empty(0), 0)]:
+    for g, bound, last in [(petersen(), 3, "perfect-whole"), (MYCIELSKI_C5, 3, "fallback-exact"),
+                           (Graph.complete(4), 10, "perfect-whole"), (Graph.empty(0), 0, None)]:
         searched.clear()
         cert = color_by_division(g)
         assert cert.bound_value == bound
-        twice = {m for m in searched if searched.count(m) > 1}
-        last = cert.layers[-1] if cert.layers else None
-        assert twice == ({last.a} if last and last.strategy == "perfect-whole" else set())
+        assert (cert.layers[-1].strategy if cert.layers else None) == last
+        assert len(searched) == len(set(searched))
+
+
+def test_coloring_refuses_a_seed_size_with_no_clique():
+    # a certificate claiming more than omega cannot seed the colouring
+    with pytest.raises(InvariantError, match="no clique of size 4"):
+        oracles._exact_coloring(Graph.cycle(5).adj, 0b11111, 4)
 
 
 @pytest.mark.parametrize("exhaustive_only", [False, True])

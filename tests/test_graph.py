@@ -13,6 +13,32 @@ from test_oracles import petersen
 def test_rejects_asymmetric_adjacency():
     with pytest.raises(ValueError):
         Graph(2, (0b10, 0b00))
+    # a pass over the triangle meets 3-1 first; row by row, 0-5 comes first
+    with pytest.raises(ValueError, match="^asymmetric edge 0-5$"):
+        Graph(6, (0b100000, 0, 0, 0b10, 0, 0))
+
+
+def first_asymmetry(adj):
+    """The row-by-row reference: the first edge v-u whose reverse is missing."""
+    for v, row in enumerate(adj):
+        for u in range(len(adj)):
+            if row >> u & 1 and not adj[u] >> v & 1:
+                return f"asymmetric edge {v}-{u}"
+    return None
+
+
+@given(graphs(min_n=2, max_n=12), st.data())
+def test_symmetry_check_matches_a_row_by_row_scan(g, data):
+    # flip up to three off-diagonal bits, each in one row only
+    adj = list(g.adj)
+    for v, u in data.draw(st.lists(st.permutations(range(g.n)).map(lambda p: p[:2]), max_size=3)):
+        adj[v] ^= 1 << u
+    want = first_asymmetry(adj)
+    if want is None:
+        assert Graph(g.n, tuple(adj)).adj == tuple(adj)
+    else:
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            Graph(g.n, tuple(adj))
 
 
 def test_rejects_self_loops():

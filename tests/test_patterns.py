@@ -10,6 +10,7 @@ from forkdiv.patterns import (
     CLASS_BOUNDS,
     PatternWitness,
     _iter_induced,
+    _plan,
     classify,
     claw_center,
     find_induced,
@@ -95,18 +96,34 @@ def test_claw_free_three_ways(g):
 SMALL_PATTERNS = sorted(name for name, pat in CATALOG.items() if pat.n <= 5)
 
 
+def embeddings_in_witness_order(g, pat):
+    # every embedding, sorted by the host vertices of the pattern's vertices
+    # taken in descending-degree order (ties by index)
+    order = sorted(range(pat.n), key=lambda v: (-pat.degree(v), v))
+    return sorted(bruteforce.induced_embeddings(g, pat), key=lambda m: [m[v] for v in order])
+
+
 @settings(max_examples=150)
 @given(graphs(max_n=7), st.sampled_from(SMALL_PATTERNS))
 def test_iter_induced_matches_all_injections_oracle(g, name):
-    # every embedding, in witness order: sorted by the host vertices of the
-    # pattern's vertices taken in descending-degree order (ties by index)
     pat = pattern(name)
-    order = sorted(range(pat.n), key=lambda v: (-pat.degree(v), v))
-    want = sorted(bruteforce.induced_embeddings(g, pat), key=lambda m: [m[v] for v in order])
     got = list(iter_induced(g, pat))
-    assert got == want
+    assert got == embeddings_in_witness_order(g, pat)
     for mapping in got:
         assert PatternWitness(name, mapping).validate(g, pat)
+
+
+TWIN_PATTERNS = ["fork", "claw", "4K1", "K2,3", "2K2", "P3+K1"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(graphs(min_n=8, max_n=9), st.sampled_from(TWIN_PATTERNS))
+def test_twin_pruning_keeps_every_embedding_in_order(g, name):
+    # each pattern has a twin class, so the count prunes; every embedding
+    # must still come, in witness order
+    pat = pattern(name)
+    assert any(_plan(pat)[3])
+    assert list(iter_induced(g, pat)) == embeddings_in_witness_order(g, pat)
 
 
 @given(graphs_with_masks(), st.sampled_from(SMALL_PATTERNS))
