@@ -18,17 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decomposition import _homogeneous_set
-from .graph import Graph, bits, mask_of
+from .graph import Graph, _co_rows, bits, mask_of
 from .limits import SEARCH_CAP, CapacityError, InvariantError
 from .oracles import (
     _check_weights,
-    _co_rows,
     _exact_coloring,
     _max_clique_size,
     _max_weight_value,
     _odd_holes,
     is_perfect_induced,
 )
+from .patterns import _BINOMIAL
 
 
 @dataclass(frozen=True)
@@ -280,7 +280,7 @@ class ColoringCertificate:
         return {
             "colors": list(self.colors),
             "palette": self.palette,
-            "bound": {"kind": "binomial", "text": "binom(omega+1,2)", "value": self.bound_value},
+            "bound": {**_BINOMIAL.to_json(), "value": self.bound_value},
             "layers": [layer.to_json() for layer in self.layers],
             "fallback": self.fallback,
         }
@@ -318,7 +318,7 @@ def color_by_division(g: Graph) -> ColoringCertificate:
     return ColoringCertificate(
         colors=tuple(colors),
         palette=next_color,
-        bound_value=(omega + 1) * omega // 2,
+        bound_value=_BINOMIAL.evaluate(omega),
         layers=tuple(layers),
         fallback=fallback,
     )

@@ -162,8 +162,7 @@ class Graph:
         return Graph(len(vmap), tuple(adj)), vmap
 
     def complement(self) -> "Graph":
-        full = self.vertex_mask
-        return Graph(self.n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(self.adj)))
+        return Graph(self.n, tuple(_co_rows(self.adj, self.vertex_mask)))
 
     def relabel(self, perm) -> "Graph":
         """Apply a permutation old index -> new index."""
@@ -215,6 +214,11 @@ class Graph:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
         return Graph(m, tuple(adj)), edge_list
+
+
+def _co_rows(adj, mask):
+    """Adjacency rows of the complement of the graph induced on mask."""
+    return [mask & ~row & ~(1 << v) for v, row in enumerate(adj)]
 
 
 def _are_twins(adj: tuple[int, ...], u: int, v: int) -> bool:

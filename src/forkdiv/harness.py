@@ -19,8 +19,9 @@ from .decomposition import find_homogeneous_set
 from .divisibility import is_perfectly_divisible_exact, line_graph_division, color_by_division
 from .graph import Graph, _are_twins, bits, canonical_form
 from .limits import ENUMERATION_CAP, CapacityError, InvariantError
-from .oracles import _first_odd_hole, chromatic_number, clique_number, is_perfect_induced
-from .patterns import CLASS_BOUNDS, _claw_triple, _iter_induced, find_induced, pattern
+from .oracles import _exact_coloring, _first_odd_hole, is_perfect_induced
+from .patterns import (_BINOMIAL, _SQUARE, CLASS_BOUNDS, _claw_triple, _iter_induced,
+                       find_induced, pattern)
 
 # enumeration is append-only: level k holds all non-isomorphic graphs on k
 # vertices in first-seen order
@@ -196,10 +197,7 @@ def _t5(g: Graph) -> Outcome:
 
 
 def _t6(g: Graph) -> Outcome:
-    if not (_free(g, "fork") and _free(g, "banner")):
-        return Outcome(False)
-    centers = _claw_centers(g)
-    if not centers:
+    if not (_free(g, "fork") and _free(g, "banner")) or _free(g, "claw"):
         return Outcome(False)
     if _homogeneous(g) is not None:
         return Outcome(True)
@@ -252,26 +250,24 @@ def _t10(g: Graph) -> Outcome:
 
 
 def _chi_audit(g: Graph) -> Outcome:
-    om = clique_number(g)
-    chi = chromatic_number(g)
+    colors, om = _exact_coloring(g.adj, g.vertex_mask)
+    chi = max(colors, default=-1) + 1
     fork_free = _free(g, "fork")
+    bounds = [(name, bound) for name, bound in CLASS_BOUNDS.items() if fork_free and _free(g, name)]
+    if _free(g, "claw"):
+        bounds.append(("claw-free alone", _SQUARE))
     violations = []
-    for forbidden, bound in CLASS_BOUNDS.items():
-        if fork_free and _free(g, forbidden):
-            limit = bound.evaluate(om)
-            if chi > limit:
-                violations.append({"class": forbidden, "bound": limit})
-    if _free(g, "claw") and chi > om * om:
-        violations.append({"class": "claw-free alone", "bound": om * om})
+    for name, bound in bounds:
+        limit = bound.evaluate(om)
+        if chi > limit:
+            violations.append({"class": name, "bound": limit})
     cert = color_by_division(g)
-    for u, v in g.edges():
-        if cert.colors[u] == cert.colors[v]:
-            violations.append({"class": "division colouring not proper"})
-            break
+    if any(cert.colors[u] == cert.colors[v] for u, v in g.edges()):
+        violations.append({"class": "division colouring not proper"})
     if cert.palette < chi:
         violations.append({"class": "division palette below chi"})
-    if not cert.fallback and cert.palette > (om + 1) * om // 2:
-        violations.append({"class": "division palette above binom(omega+1,2)"})
+    if not cert.fallback and cert.palette > cert.bound_value:
+        violations.append({"class": f"division palette above {_BINOMIAL.text}"})
     if violations:
         return Outcome(True, failure={"omega": om, "chi": chi, "violations": violations})
     return Outcome(True)
@@ -340,7 +336,7 @@ CHECKS: dict[str, TheoremCheck] = {
         TheoremCheck(
             "chi-audit",
             "exact chi respects every applicable class bound and the division"
-            " colouring stays within binom(omega+1,2)",
+            f" colouring stays within {_BINOMIAL.text}",
             _chi_audit,
         ),
     ]

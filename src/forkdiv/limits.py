@@ -1,11 +1,12 @@
 """Search caps and the error types shared across the package.
 
-Every exponential search in the package refuses inputs beyond a fixed
-vertex cap instead of silently running forever; there is no per-call
-override.  The caps are sized for the verification corpora (graphs up to
-8 vertices, line graphs up to 15).  SEARCH_CAP bounds the odd-hole,
-colouring and submask-table searches, so a table has at most 65,536
-entries.
+Three fixed vertex caps, sized for the verification corpora (graphs up to
+8 vertices, line graphs up to 15), with no per-call override: CANONICAL_CAP
+for canonical labelling and isomorphism, ENUMERATION_CAP for enumeration,
+and SEARCH_CAP for the odd-hole, exact-colouring and submask-table searches
+(a table has at most 65,536 entries).  The clique-size, clique-witness,
+independence and weighted-clique searches are uncapped, and so are
+`classify` and `oracle omega|alpha`.
 """
 
 CANONICAL_CAP = 10

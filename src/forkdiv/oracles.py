@@ -13,7 +13,7 @@ break toward the lexicographically smallest vertex set.
 
 from __future__ import annotations
 
-from .graph import Graph, bits
+from .graph import Graph, _co_rows, bits
 from .limits import SEARCH_CAP, CapacityError, InvariantError
 
 
@@ -105,11 +105,6 @@ def _max_clique(adj, mask, size=None):
 
 def independence_number(g: Graph) -> int:
     return _max_clique_size(_co_rows(g.adj, g.vertex_mask), g.vertex_mask)
-
-
-def _co_rows(adj, mask):
-    """Adjacency rows of the complement of the graph induced on mask."""
-    return [mask & ~row & ~(1 << v) for v, row in enumerate(adj)]
 
 
 def _check_weights(g, weights):

@@ -8,10 +8,11 @@ extra vertex, so each construction reads like its definition.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graph import Graph, _are_twins, bits
+from .graph import Graph, _are_twins, _co_rows, bits
 from .oracles import clique_number
 
 
@@ -165,7 +166,7 @@ def _iter_induced(adj, mask, pat):
         yield ()
         return
     order, degs, links, crowds = _plan(pat)
-    co = [mask & ~(row | 1 << v) for v, row in enumerate(adj)]
+    co = _co_rows(adj, mask)
     by_degree = [0] * n
     for v in bits(mask):
         by_degree[(adj[v] & mask).bit_count()] |= 1 << v
@@ -240,46 +241,26 @@ def _claw_triple(adj, v) -> tuple[int, int, int] | None:
 
 @dataclass(frozen=True)
 class BoundRecord:
-    """A chi bound as a function of omega: one of the four shapes below."""
+    """A chi-binding function: its kind, its formula as text, and evaluate,
+    which maps omega to the bound."""
 
-    kind: str  # "constant" | "linear" | "binomial" | "square"
-    coeff: int = 0
-    offset: int = 0
-
-    def evaluate(self, omega: int) -> int:
-        if self.kind == "constant":
-            return self.offset
-        if self.kind == "linear":
-            return self.coeff * omega + self.offset
-        if self.kind == "binomial":
-            return (omega + 1) * omega // 2
-        if self.kind == "square":
-            return omega * omega
-        raise ValueError(f"unknown bound kind {self.kind!r}")
-
-    @property
-    def text(self) -> str:
-        if self.kind == "constant":
-            return str(self.offset)
-        if self.kind == "linear":
-            if self.offset == 0:
-                return f"{self.coeff}*omega" if self.coeff != 1 else "omega"
-            lead = f"{self.coeff}*omega" if self.coeff != 1 else "omega"
-            return f"{lead}+{self.offset}"
-        if self.kind == "binomial":
-            return "binom(omega+1,2)"
-        return "omega^2"
+    kind: str
+    text: str
+    evaluate: Callable[[int], int]
 
     def to_json(self):
         return {"kind": self.kind, "text": self.text}
 
 
-_BINOMIAL = BoundRecord("binomial")
-_SQUARE = BoundRecord("square")
+# binom(omega+1, 2) binds every perfectly divisible graph, so it also bounds
+# divisibility.color_by_division; the chi-audit applies omega^2 to every claw-free graph
+_BINOMIAL = BoundRecord("binomial", "binom(omega+1,2)", lambda omega: (omega + 1) * omega // 2)
+_SQUARE = BoundRecord("square", "omega^2", lambda omega: omega * omega)
+_PLUS_ONE = BoundRecord("linear", "omega+1", lambda omega: omega + 1)
 
 #: chi bound for fork-free graphs that also exclude the key pattern
 CLASS_BOUNDS: dict[str, BoundRecord] = {
-    "K3": BoundRecord("constant", offset=3),
+    "K3": BoundRecord("constant", "3", lambda omega: 3),
     "2K2": _BINOMIAL,
     "dart": _SQUARE,
     "banner": _SQUARE,
@@ -288,9 +269,9 @@ CLASS_BOUNDS: dict[str, BoundRecord] = {
     "P6": _BINOMIAL,
     "co-dart": _BINOMIAL,
     "bull": _BINOMIAL,
-    "K5-e": BoundRecord("linear", coeff=1, offset=1),
-    "co-(P3+2K1)": BoundRecord("linear", coeff=1, offset=1),
-    "antifork": BoundRecord("linear", coeff=2, offset=0),
+    "K5-e": _PLUS_ONE,
+    "co-(P3+2K1)": _PLUS_ONE,
+    "antifork": BoundRecord("linear", "2*omega", lambda omega: 2 * omega),
 }
 
 

@@ -13,7 +13,7 @@ from forkdiv import cli
 from forkdiv.cli import main
 from forkdiv.formats import emit_graph6, parse_graph6
 from forkdiv.graph import Graph, are_isomorphic
-from forkdiv.harness import enumerate_nonisomorphic
+from forkdiv.harness import enumerate_nonisomorphic, graphs_up_to
 from forkdiv.limits import InvariantError
 from forkdiv.patterns import has_induced
 from test_divisibility import clebsch
@@ -302,6 +302,17 @@ def test_verify_envelope_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a01145c233c97684e55864a2a91df1a8700080d2a3ba3edf833a5fa9974b02b7"
     )
+
+
+@pytest.mark.parametrize("command, digest", [
+    ("classify", "e903886768d6bd5c2ffc757eb15b315f18b142872cad035576fdf06074f59cab"),
+    ("color", "7c97067675ae1a39bedfea870b08762f0b4dbc3d0f461dce391cc8e33daaae4d"),
+])
+def test_batch_envelope_is_pinned(command, digest, capsys, monkeypatch):
+    # every graph on 1..7 vertices, as graph6 lines on stdin
+    corpus = "".join(emit_graph6(g) + "\n" for g in graphs_up_to(7))
+    _, out, _ = run_cli([command, "-"], capsys, stdin=corpus, monkeypatch=monkeypatch)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_from_corpus_file(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
+from forkdiv.divisibility import ColoringCertificate
 from forkdiv.formats import emit_graph6
 from forkdiv.graph import Graph, _are_twins, bits, canonical_form
 from forkdiv import harness
@@ -200,6 +201,35 @@ def test_report_json_shape_and_direction_breakdown():
     assert set(breakdown) == {"direct", "contrapositive"}
     assert breakdown["direct"] == 0
     assert breakdown["contrapositive"] > 0
+
+
+def test_chi_audit_reports_every_bound_a_chi_exceeds(monkeypatch):
+    # no small graph breaks a bound, so claim chi = 5 for C5 (omega = 2):
+    # every class applies to C5, and the real division colouring uses 3
+    monkeypatch.setattr(harness, "_exact_coloring", lambda adj, mask: (list(range(5)), 2))
+    out = CHECKS["chi-audit"].evaluate(Graph.cycle(5))
+    limits = {"K3": 3, "2K2": 3, "dart": 4, "banner": 4, "co-cricket": 4, "claw": 4,
+              "P6": 3, "co-dart": 3, "bull": 3, "K5-e": 3, "co-(P3+2K1)": 3, "antifork": 4}
+    assert out.failure == {
+        "omega": 2,
+        "chi": 5,
+        "violations": [{"class": name, "bound": b} for name, b in limits.items()]
+        + [{"class": "claw-free alone", "bound": 4}, {"class": "division palette below chi"}],
+    }
+
+
+def test_chi_audit_reports_a_bad_division_colouring(monkeypatch):
+    bad = ColoringCertificate(colors=(0,) * 5, palette=9, bound_value=3, layers=(), fallback=False)
+    monkeypatch.setattr(harness, "color_by_division", lambda g: bad)
+    out = CHECKS["chi-audit"].evaluate(Graph.cycle(5))
+    assert out.failure == {
+        "omega": 2,
+        "chi": 3,
+        "violations": [
+            {"class": "division colouring not proper"},
+            {"class": "division palette above binom(omega+1,2)"},
+        ],
+    }
 
 
 def test_capacity_skips_are_soft():

@@ -146,14 +146,30 @@ def test_witnesses_always_validate(g):
 
 
 def test_bound_record_values():
-    assert CLASS_BOUNDS["P6"].evaluate(2) == 3
-    assert CLASS_BOUNDS["P6"].evaluate(4) == 10
-    assert CLASS_BOUNDS["dart"].evaluate(3) == 9
-    assert CLASS_BOUNDS["K5-e"].evaluate(3) == 4
-    assert CLASS_BOUNDS["antifork"].evaluate(3) == 6
-    assert CLASS_BOUNDS["K3"].evaluate(2) == 3
-    assert CLASS_BOUNDS["P6"].text == "binom(omega+1,2)"
-    assert CLASS_BOUNDS["claw"].text == "omega^2"
+    binomial = ("binomial", "binom(omega+1,2)", [0, 1, 3, 6, 10])
+    square = ("square", "omega^2", [0, 1, 4, 9, 16])
+    plus_one = ("linear", "omega+1", [1, 2, 3, 4, 5])
+    want = {
+        "K3": ("constant", "3", [3, 3, 3, 3, 3]),
+        "2K2": binomial,
+        "dart": square,
+        "banner": square,
+        "co-cricket": square,
+        "claw": square,
+        "P6": binomial,
+        "co-dart": binomial,
+        "bull": binomial,
+        "K5-e": plus_one,
+        "co-(P3+2K1)": plus_one,
+        "antifork": ("linear", "2*omega", [0, 2, 4, 6, 8]),
+    }
+    got = {
+        name: (b.kind, b.text, [b.evaluate(omega) for omega in range(5)])
+        for name, b in CLASS_BOUNDS.items()
+    }
+    assert list(got) == list(want)  # table order is the order of every report
+    assert got == want
+    assert CLASS_BOUNDS["P6"].to_json() == {"kind": "binomial", "text": "binom(omega+1,2)"}
 
 
 def test_classify_cycle_hits_every_division_class():
