@@ -330,6 +330,7 @@ def canonical_form(g: Graph) -> bytes:
             groups.pop()
 
     rec(0)
+    del rec  # a recursive closure is a reference cycle
     assert best is not None
     packed = 0
     width = 0

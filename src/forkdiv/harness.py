@@ -171,10 +171,11 @@ def _t2(g: Graph) -> Outcome:
 
 
 def _t3(g: Graph) -> Outcome:
-    if not (g.is_connected() and _free(g, "fork") and _free(g, "dart")):
+    # a claw-free graph is dart-free, so the cheap claw scan goes first
+    if not (g.is_connected() and _free(g, "fork")):
         return Outcome(False)
     centers = _claw_centers(g)
-    if not centers:
+    if not centers or not _free(g, "dart"):
         return Outcome(False)
     return Outcome(True, failure=_imperfect_non_neighborhood(g, centers, "claw_center"))
 
@@ -215,7 +216,8 @@ def _t7(g: Graph) -> Outcome:
 
 
 def _t8(g: Graph) -> Outcome:
-    if not (_free(g, "fork") and _free(g, "bull") and _homogeneous(g) is None):
+    # T1 has memoised _homogeneous for almost every fork-free graph
+    if not (_free(g, "fork") and _homogeneous(g) is None and _free(g, "bull")):
         return Outcome(False)
     co_p5 = pattern("co-P5")
     for v in range(g.n):
@@ -249,17 +251,20 @@ def _t10(g: Graph) -> Outcome:
     return Outcome(True, failure={"perfectly_divisible": False})
 
 
+# (label, patterns the class excludes, chi bound) in report order
+_AUDIT_CLASSES = tuple(
+    (name, ("fork", name), bound) for name, bound in CLASS_BOUNDS.items()
+) + (("claw-free alone", ("claw",), _SQUARE),)
+
+
 def _chi_audit(g: Graph) -> Outcome:
     colors, om = _exact_coloring(g.adj, g.vertex_mask)
     chi = max(colors, default=-1) + 1
-    fork_free = _free(g, "fork")
-    bounds = [(name, bound) for name, bound in CLASS_BOUNDS.items() if fork_free and _free(g, name)]
-    if _free(g, "claw"):
-        bounds.append(("claw-free alone", _SQUARE))
     violations = []
-    for name, bound in bounds:
+    for name, patterns, bound in _AUDIT_CLASSES:
+        # membership matters only when chi exceeds the bound, so test that first
         limit = bound.evaluate(om)
-        if chi > limit:
+        if chi > limit and all(_free(g, p) for p in patterns):
             violations.append({"class": name, "bound": limit})
     cert = color_by_division(g)
     if any(cert.colors[u] == cert.colors[v] for u, v in g.edges()):

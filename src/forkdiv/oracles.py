@@ -64,6 +64,7 @@ def _max_clique_size(adj, cand):
                 cand &= ~(1 << v)
 
     expand(0, cand)
+    del expand  # a recursive closure is a reference cycle
     return best
 
 
@@ -98,6 +99,7 @@ def _max_clique(adj, mask, size=None):
         return None
 
     found = first(0, mask, size or _max_clique_size(adj, mask))
+    del first
     if found is None:
         raise InvariantError(f"no clique of size {size} within the mask")
     return found
@@ -139,6 +141,7 @@ def _max_weight_value(adj, weights, cand):
             rest_sum -= weights[v]
 
     expand(0, cand, _wsum(weights, cand))
+    del expand
     return best
 
 
@@ -223,6 +226,7 @@ def _exact_coloring(adj, mask, omega=None):
     classes = [1 << v for v in bits(seed)]
     best = [0] * (mask.bit_count() + 1)  # more classes than any colouring
     solve(mask & ~seed)
+    del solve
     colors = [-1] * len(adj)
     for c, cls in enumerate(best):
         for v in bits(cls):
@@ -268,21 +272,24 @@ def _odd_holes(rows, mask):
                 yield from extend(bit.bit_length() - 1, used | bit, grown, length + 1)
 
     above = mask
-    while above.bit_count() >= 5:
-        low = above & -above
-        above ^= low
-        near = rows[low.bit_length() - 1] & above
-        far = above & ~near
-        if far.bit_count() < 2:
-            continue
-        rest = near
-        while rest:
-            entry = rest & -rest
-            rest ^= entry
-            first = entry.bit_length() - 1
-            closers = rest & ~rows[first]
-            if closers:
-                yield from extend(first, low | entry, 0, 2)
+    try:
+        while above.bit_count() >= 5:
+            low = above & -above
+            above ^= low
+            near = rows[low.bit_length() - 1] & above
+            far = above & ~near
+            if far.bit_count() < 2:
+                continue
+            rest = near
+            while rest:
+                entry = rest & -rest
+                rest ^= entry
+                first = entry.bit_length() - 1
+                closers = rest & ~rows[first]
+                if closers:
+                    yield from extend(first, low | entry, 0, 2)
+    finally:
+        del extend  # also when a caller drops the generator after one hole
 
 
 def find_odd_hole(g: Graph) -> int | None:

@@ -144,16 +144,22 @@ def canonical(g: Graph) -> tuple:
     return (g.n, best)
 
 
-def induced_embeddings(host: Graph, pat: Graph) -> set[tuple[int, ...]]:
-    out = set()
+def _embeddings(host: Graph, pat: Graph):
     for sub in combinations(range(host.n), pat.n):
         for perm in permutations(sub):
             if all(
                 pat.has_edge(u, v) == host.has_edge(perm[u], perm[v])
                 for u, v in combinations(range(pat.n), 2)
             ):
-                out.add(perm)
-    return out
+                yield perm
+
+
+def induced_embeddings(host: Graph, pat: Graph) -> set[tuple[int, ...]]:
+    return set(_embeddings(host, pat))
+
+
+def has_induced(host: Graph, pat: Graph) -> bool:
+    return next(_embeddings(host, pat), None) is not None
 
 
 def homogeneous_sets(g: Graph) -> list[int]:

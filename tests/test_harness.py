@@ -1,12 +1,14 @@
+import gc
 import hashlib
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
-from forkdiv.divisibility import ColoringCertificate
+from forkdiv.divisibility import ColoringCertificate, color_by_division
 from forkdiv.formats import emit_graph6
 from forkdiv.graph import Graph, _are_twins, bits, canonical_form
 from forkdiv import harness
@@ -20,7 +22,8 @@ from forkdiv.harness import (
     run_check,
 )
 from forkdiv.limits import CapacityError, InvariantError
-from forkdiv.patterns import claw_center, pattern
+from forkdiv.oracles import max_weight_clique
+from forkdiv.patterns import _SQUARE, CLASS_BOUNDS, claw_center, pattern
 from strategies import graphs
 
 
@@ -74,7 +77,7 @@ def twin_skips(draw):
     return parent, u, v, nb
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(twin_skips())
 def test_twin_pruning_skips_only_isomorphic_children(case):
     # swapping twins is an automorphism of the parent, so the skipped child
@@ -216,6 +219,86 @@ def test_chi_audit_reports_every_bound_a_chi_exceeds(monkeypatch):
         "violations": [{"class": name, "bound": b} for name, b in limits.items()]
         + [{"class": "claw-free alone", "bound": 4}, {"class": "division palette below chi"}],
     }
+
+
+def _eager_chi_audit_failure(g, chi, om):
+    """The chi-audit failure with every class membership decided up front,
+    by brute-force embedding search, before any bound is compared."""
+    def free(name):
+        return not bruteforce.has_induced(g, pattern(name))
+
+    fork_free = free("fork")
+    rows = [(name, bound) for name, bound in CLASS_BOUNDS.items() if fork_free and free(name)]
+    if free("claw"):
+        rows.append(("claw-free alone", _SQUARE))
+    violations = [{"class": name, "bound": bound.evaluate(om)}
+                  for name, bound in rows if chi > bound.evaluate(om)]
+    cert = color_by_division(g)
+    if any(cert.colors[u] == cert.colors[v] for u, v in g.edges()):
+        violations.append({"class": "division colouring not proper"})
+    if cert.palette < chi:
+        violations.append({"class": "division palette below chi"})
+    if not cert.fallback and cert.palette > cert.bound_value:
+        violations.append({"class": "division palette above binom(omega+1,2)"})
+    return {"omega": om, "chi": chi, "violations": violations} if violations else None
+
+
+@settings(max_examples=150)
+@given(graphs(max_n=8), st.data())
+def test_lazy_chi_audit_matches_an_eager_audit(g, data):
+    # a stub chi anywhere in [omega, n] makes the class rows fire; the audit
+    # must report the same rows as one that decides every membership first
+    om = bruteforce.omega(g)
+    chi = data.draw(st.integers(om, max(om, g.n)))
+    colors = [min(v, chi - 1) for v in range(g.n)]
+    with mock.patch.object(harness, "_exact_coloring", lambda adj, mask: (colors, om)):
+        out = CHECKS["chi-audit"].evaluate(g)
+    assert out.failure == _eager_chi_audit_failure(g, chi, om)
+
+
+def _count_searches(monkeypatch, check_ids=None):
+    """find_induced calls over every graph on 1..7 vertices, memos cold."""
+    for memo in (harness._free, harness._homogeneous, harness._pd_exact):
+        memo.cache_clear()
+    calls = []
+    real = harness.find_induced
+    monkeypatch.setattr(harness, "find_induced", lambda *args: calls.append(args) or real(*args))
+    run_all(graphs_up_to(7), "all graphs on 1..7 vertices", check_ids)
+    monkeypatch.undo()
+    return calls
+
+
+def test_verify_searches_patterns_only_when_an_outcome_depends_on_them(monkeypatch):
+    # a deterministic guard: the whole run makes 6,773 searches, where
+    # deciding every chi-audit class up front made 12,312
+    assert len(_count_searches(monkeypatch)) == 6773
+    # alone, the chi-audit searches only graphs with chi >= 4, which exceed
+    # K3's constant bound and no other: fork, then K3 when fork-free
+    calls = _count_searches(monkeypatch, ["chi-audit"])
+    assert [name for _, _, name in calls].count("fork") == 420
+    assert len(calls) == 771
+    assert {name for _, _, name in calls} == {"fork", "K3"}
+
+
+def test_oracles_and_labelling_leave_no_reference_cycles():
+    # recursive closures refer to themselves through their cells, so each
+    # call would leave garbage that only the cyclic collector frees
+    batch = [g for g in (random_gnp(16, 0.8, seed) for seed in range(60))
+             if harness._free(g, "fork")]
+    for memo in (harness._free, harness._homogeneous, harness._pd_exact):
+        memo.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        for g in batch:
+            color_by_division(g)
+            max_weight_clique(g, range(g.n))
+        for g in enumerate_nonisomorphic(6):
+            canonical_form(g)
+        run_all(graphs_up_to(5), "all graphs on 1..5 vertices")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_chi_audit_reports_a_bad_division_colouring(monkeypatch):

@@ -116,7 +116,7 @@ def test_iter_induced_matches_all_injections_oracle(g, name):
 TWIN_PATTERNS = ["fork", "claw", "4K1", "K2,3", "2K2", "P3+K1"]
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(graphs(min_n=8, max_n=9), st.sampled_from(TWIN_PATTERNS))
 def test_twin_pruning_keeps_every_embedding_in_order(g, name):
     # each pattern has a twin class, so the count prunes; every embedding
