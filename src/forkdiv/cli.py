@@ -55,14 +55,8 @@ class _UsageError(Exception):
 
 
 def _infer_format(path: str, explicit: str | None) -> str:
-    if explicit:
-        return explicit
-    if path == "-":
-        return "g6"
-    for suffix, fmt in _SUFFIXES.items():
-        if path.endswith(suffix):
-            return fmt
-    return "g6"
+    _, dot, ext = path.rpartition(".")
+    return explicit or _SUFFIXES.get(dot + ext, "g6")
 
 
 def _read_graphs(path: str, fmt: str | None):

@@ -8,7 +8,7 @@ byte offsets; emitters are exact inverses on the supported range.
 
 from __future__ import annotations
 
-from .graph import MAX_VERTICES, Graph
+from .graph import MAX_VERTICES, Graph, bits
 
 
 class FormatError(ValueError):
@@ -19,29 +19,18 @@ class FormatError(ValueError):
         self.offset = offset
 
 
-def _pair_bits(g: Graph):
-    # column-major upper triangle: x(0,1), x(0,2), x(1,2), x(0,3), ...
-    for j in range(1, g.n):
-        for i in range(j):
-            yield (g.adj[i] >> j) & 1
+# graph6 byte -> its six bits, high bit first
+_SIXES = {chr(v + 63): format(v, "06b") for v in range(64)}
 
 
 def emit_graph6(g: Graph) -> str:
-    if g.n <= 62:
-        out = [chr(g.n + 63)]
-    else:
-        out = ["~"] + [chr((g.n >> shift & 63) + 63) for shift in (12, 6, 0)]
-    acc = 0
-    count = 0
-    for b in _pair_bits(g):
-        acc = (acc << 1) | b
-        count += 1
-        if count == 6:
-            out.append(chr(acc + 63))
-            acc = count = 0
-    if count:
-        out.append(chr((acc << (6 - count)) + 63))
-    return "".join(out)
+    n = g.n
+    head = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+    # column-major upper triangle x(0,1), x(0,2), x(1,2), x(0,3), ...:
+    # column j is the low j bits of adj[j], read from bit 0 up
+    stream = "".join(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    stream += "0" * (-len(stream) % 6)
+    return head + "".join(chr(int(stream[k : k + 6], 2) + 63) for k in range(0, len(stream), 6))
 
 
 def parse_graph6(line: str) -> Graph:
@@ -52,7 +41,7 @@ def parse_graph6(line: str) -> Graph:
         raise FormatError("truncated graph6 size header", 0)
     n = 0
     for ch in line[1:head] if head == 4 else line[0]:
-        if not 63 <= ord(ch) <= 126:
+        if ch not in _SIXES:
             raise FormatError(f"size byte {ch!r} outside graph6 range", 0)
         n = n << 6 | ord(ch) - 63
     if n > MAX_VERTICES:
@@ -63,23 +52,19 @@ def parse_graph6(line: str) -> Graph:
         raise FormatError(
             f"graph6 body for n={n} needs {need} bytes, got {len(body)}", head
         )
-    bits: list[int] = []
-    for k, ch in enumerate(body):
-        val = ord(ch) - 63
-        if not 0 <= val <= 63:
-            raise FormatError(f"byte {ch!r} outside graph6 range", k + head)
-        bits.extend((val >> (5 - i)) & 1 for i in range(6))
+    try:
+        stream = "".join([_SIXES[ch] for ch in body])
+    except KeyError as exc:
+        ch = exc.args[0]  # the first byte outside the table
+        raise FormatError(f"byte {ch!r} outside graph6 range", body.index(ch) + head) from None
     pairs = n * (n - 1) // 2
-    if any(bits[pairs:]):
+    if "1" in stream[pairs:]:
         raise FormatError("nonzero padding bits", len(line) - 1)
     adj = [0] * n
-    k = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            k += 1
+        adj[j] = col = int(stream[j * (j - 1) // 2 : j * (j + 1) // 2][::-1], 2)
+        for i in bits(col):
+            adj[i] |= 1 << j
     return Graph(n, tuple(adj))
 
 

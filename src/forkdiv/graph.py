@@ -9,7 +9,6 @@ oracle results keyed on the graph itself.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .limits import CANONICAL_CAP, CapacityError
@@ -205,15 +204,12 @@ class Graph:
     def line_graph(self) -> tuple["Graph", tuple[tuple[int, int], ...]]:
         """Line graph plus the map from its vertices back to edges of self."""
         edge_list = tuple(self.edges())
-        m = len(edge_list)
-        adj = [0] * m
-        for i, j in itertools.combinations(range(m), 2):
-            a, b = edge_list[i]
-            c, d = edge_list[j]
-            if a == c or a == d or b == c or b == d:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-        return Graph(m, tuple(adj)), edge_list
+        inc = [0] * self.n  # inc[v]: mask of the edges at v
+        for i, (a, b) in enumerate(edge_list):
+            inc[a] |= 1 << i
+            inc[b] |= 1 << i
+        adj = tuple((inc[a] | inc[b]) & ~(1 << i) for i, (a, b) in enumerate(edge_list))
+        return Graph(len(edge_list), adj), edge_list
 
 
 def _co_rows(adj, mask):

@@ -17,7 +17,7 @@ from functools import lru_cache
 from . import formats
 from .decomposition import find_homogeneous_set
 from .divisibility import is_perfectly_divisible_exact, line_graph_division, color_by_division
-from .graph import Graph, _are_twins, bits, canonical_form
+from .graph import MAX_VERTICES, Graph, _are_twins, bits, canonical_form
 from .limits import ENUMERATION_CAP, CapacityError, InvariantError
 from .oracles import _exact_coloring, _first_odd_hole, is_perfect_induced
 from .patterns import (_BINOMIAL, _SQUARE, CLASS_BOUNDS, _claw_triple, _iter_induced,
@@ -81,6 +81,8 @@ def graphs_up_to(n: int) -> list[Graph]:
 def random_gnp(n: int, p: float, seed: int) -> Graph:
     """G(n, p) drawn with a Mersenne Twister seeded at seed; edge draws run
     in lexicographic pair order, so a seed pins down the graph exactly."""
+    if not 0 <= n <= MAX_VERTICES:  # refuse before n(n-1)/2 draws, as Graph would after
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
     rng = _random.Random(seed)
@@ -163,7 +165,8 @@ def _t1(g: Graph) -> Outcome:
 
 
 def _t2(g: Graph) -> Outcome:
-    if not ((_free(g, "fork") and _free(g, "P6")) or _free(g, "P3+K1")):
+    # P3+K1 lies in the fork, so a P3+K1-free graph is fork-free: fork goes first
+    if not (_free(g, "fork") and (_free(g, "P6") or _free(g, "P3+K1"))):
         return Outcome(False)
     if _pd_exact(g):
         return Outcome(True)

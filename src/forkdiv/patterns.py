@@ -16,78 +16,46 @@ from .graph import Graph, _are_twins, _co_rows, bits
 from .oracles import clique_number
 
 
-def _fork():
+CATALOG: dict[str, Graph] = {
+    "K1": Graph.complete(1),
+    "K2": Graph.complete(2),
+    "K3": Graph.complete(3),
+    "K4": Graph.complete(4),
+    "K5": Graph.complete(5),
+    "P3": Graph.path(3),
+    "P4": Graph.path(4),
+    "P5": Graph.path(5),
+    "P6": Graph.path(6),
+    "C4": Graph.cycle(4),
+    "C5": Graph.cycle(5),
+    "C6": Graph.cycle(6),
+    "C7": Graph.cycle(7),
+    "claw": Graph.complete_bipartite(1, 3),
     # claw centred at 2 with leaves 1, 3, 4; pendant 0 attached to leaf 1
-    return Graph.from_edges(5, [(2, 1), (2, 3), (2, 4), (0, 1)])
-
-
-def _dart():
+    "fork": (fork := Graph.from_edges(5, [(2, 1), (2, 3), (2, 4), (0, 1)])),
+    "antifork": fork.complement(),
     # claw centred at 0 with leaves 1, 2, 3; vertex 4 sees 0, 2, 3 but not 1
-    return Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (4, 0), (4, 2), (4, 3)])
-
-
-def _banner():
+    "dart": Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (4, 0), (4, 2), (4, 3)]),
     # claw centred at 0 with leaves 1, 2, 3; vertex 4 sees 1, 2 but not 0, 3
-    return Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (4, 1), (4, 2)])
-
-
-def _bull():
+    "banner": Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (4, 1), (4, 2)]),
     # path 0-1-2-3; vertex 4 sees the middle 1, 2 but not the ends
-    return Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (4, 1), (4, 2)])
-
-
-def _paw():
-    return Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
-
-
-def _diamond():
-    return Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-
-
-def _build_catalog() -> dict[str, Graph]:
-    k1 = Graph.complete(1)
-    paw = _paw()
-    diamond = _diamond()
-    fork = _fork()
-    cat = {
-        "K1": k1,
-        "K2": Graph.complete(2),
-        "K3": Graph.complete(3),
-        "K4": Graph.complete(4),
-        "K5": Graph.complete(5),
-        "P3": Graph.path(3),
-        "P4": Graph.path(4),
-        "P5": Graph.path(5),
-        "P6": Graph.path(6),
-        "C4": Graph.cycle(4),
-        "C5": Graph.cycle(5),
-        "C6": Graph.cycle(6),
-        "C7": Graph.cycle(7),
-        "claw": Graph.complete_bipartite(1, 3),
-        "fork": fork,
-        "antifork": fork.complement(),
-        "dart": _dart(),
-        "banner": _banner(),
-        "bull": _bull(),
-        "paw": paw,
-        "diamond": diamond,
-        "co-dart": paw.disjoint_union(k1),
-        "co-cricket": diamond.disjoint_union(k1),
-        "K2,3": Graph.complete_bipartite(2, 3),
-        "2K2": Graph.complete(2).disjoint_union(Graph.complete(2)),
-        "3K1": Graph.empty(3),
-        "4K1": Graph.empty(4),
-        "P3+K1": Graph.path(3).disjoint_union(k1),
-        "K2+2K1": Graph.complete(2).disjoint_union(Graph.empty(2)),
-        "K3+K1": Graph.complete(3).disjoint_union(k1),
-        "co-P5": Graph.path(5).complement(),
-        "K5-e": Graph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (3, 4)]),
-        "co-(P3+2K1)": Graph.path(3).disjoint_union(Graph.empty(2)).complement(),
-    }
-    return cat
-
-
-CATALOG: dict[str, Graph] = _build_catalog()
+    "bull": Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (4, 1), (4, 2)]),
+    "paw": (paw := Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)])),
+    "diamond": (diamond := Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])),
+    "co-dart": paw.disjoint_union(Graph.complete(1)),
+    "co-cricket": diamond.disjoint_union(Graph.complete(1)),
+    "K2,3": Graph.complete_bipartite(2, 3),
+    "2K2": Graph.complete(2).disjoint_union(Graph.complete(2)),
+    "3K1": Graph.empty(3),
+    "4K1": Graph.empty(4),
+    "P3+K1": Graph.path(3).disjoint_union(Graph.complete(1)),
+    "K2+2K1": Graph.complete(2).disjoint_union(Graph.empty(2)),
+    "K3+K1": Graph.complete(3).disjoint_union(Graph.complete(1)),
+    "co-P5": Graph.path(5).complement(),
+    "K5-e": Graph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (3, 4)]),
+    "co-(P3+2K1)": Graph.path(3).disjoint_union(Graph.empty(2)).complement(),
+}
+del fork, paw, diamond
 
 _ALIASES = {
     "K1,3": "claw",

@@ -269,6 +269,16 @@ def test_gen_gnp_golden(capsys):
     assert out.strip() == "I]`q_a`yw"
 
 
+@pytest.mark.parametrize(
+    "path,fmt",
+    [("-", "g6"), ("col", "g6"), (".col", "dimacs"), ("x.g6", "g6"), ("x.graph6", "g6"),
+     ("dir.g6/f", "g6"), ("a.edgelist", "edges"), ("a.edges", "edges"), ("b.dimacs", "dimacs")],
+)
+def test_infer_format_reads_the_last_suffix(path, fmt):
+    assert cli._infer_format(path, None) == fmt
+    assert cli._infer_format(path, "dimacs") == "dimacs"
+
+
 def test_gen_requires_exactly_one_mode(capsys):
     assert main(["gen"]) == 2
     capsys.readouterr()

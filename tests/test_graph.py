@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import bruteforce
 from forkdiv.graph import Graph, _refine, are_isomorphic, bits, canonical_form, mask_of
+from forkdiv.harness import graphs_up_to
 from strategies import graphs
 from test_oracles import petersen
 
@@ -156,6 +157,22 @@ def test_line_graph_counts(g):
     assert list(edge_list) == list(g.edges())
     want = sum(g.degree(v) * (g.degree(v) - 1) // 2 for v in range(g.n))
     assert lg.edge_count == want
+
+
+def pairwise_line_graph(g):
+    edge_list = tuple(g.edges())
+    pairs = [(i, j) for j, f in enumerate(edge_list) for i, e in enumerate(edge_list[:j]) if set(e) & set(f)]
+    return Graph.from_edges(len(edge_list), pairs), edge_list
+
+
+def test_line_graph_matches_pairwise_construction_up_to_six_vertices():
+    for g in graphs_up_to(6):
+        assert g.line_graph() == pairwise_line_graph(g)
+
+
+@given(graphs(max_n=10))
+def test_line_graph_matches_pairwise_construction(g):
+    assert g.line_graph() == pairwise_line_graph(g)
 
 
 def test_canonical_form_of_self_complementary_cycle():

@@ -136,6 +136,17 @@ def test_gnp_extremes_and_determinism():
         random_gnp(5, 1.5, 0)
 
 
+@pytest.mark.parametrize("n", [-1, 129, 10**6])
+def test_gnp_refuses_a_vertex_count_before_drawing(n, monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("drew edges for a vertex count Graph refuses")
+
+    monkeypatch.setattr(harness._random, "Random", no_draws)
+    with pytest.raises(ValueError) as exc:
+        random_gnp(n, 0.5, 1)
+    assert str(exc.value) == f"vertex count {n} outside 0..128"
+
+
 def test_gnp_golden_seed():
     assert emit_graph6(random_gnp(10, 0.5, 42)) == "I]`q_a`yw"
 
@@ -269,9 +280,10 @@ def _count_searches(monkeypatch, check_ids=None):
 
 
 def test_verify_searches_patterns_only_when_an_outcome_depends_on_them(monkeypatch):
-    # a deterministic guard: the whole run makes 6,773 searches, where
-    # deciding every chi-audit class up front made 12,312
-    assert len(_count_searches(monkeypatch)) == 6773
+    # a deterministic guard: the whole run makes 6,316 searches, where
+    # deciding every chi-audit class up front made 12,312 and testing T2's
+    # P3+K1 on graphs that are not fork-free made 457 more
+    assert len(_count_searches(monkeypatch)) == 6316
     # alone, the chi-audit searches only graphs with chi >= 4, which exceed
     # K3's constant bound and no other: fork, then K3 when fork-free
     calls = _count_searches(monkeypatch, ["chi-audit"])

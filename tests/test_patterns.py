@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
+from forkdiv.formats import emit_graph6
 from forkdiv.graph import Graph, are_isomorphic
 from forkdiv.oracles import clique_number, independence_number
 from forkdiv.patterns import (
@@ -37,6 +38,29 @@ def test_catalog_sanity():
         pattern("co-(P3+2K1)"),
         Graph.path(3).disjoint_union(Graph.empty(2)).complement(),
     )
+
+
+# every entry, vertex labels included: witnesses and detect output depend on them
+CATALOG_GRAPH6 = {
+    "K1": "@", "K2": "A_", "K3": "Bw", "K4": "C~", "K5": "D~{",
+    "P3": "Bg", "P4": "Ch", "P5": "DhC", "P6": "EhCG",
+    "C4": "Cl", "C5": "Dhc", "C6": "EhEG", "C7": "FhCKG",
+    "claw": "Cs", "fork": "DhG", "antifork": "DUs", "dart": "Dsk",
+    "banner": "DsW", "bull": "DhW", "paw": "C{", "diamond": "C}",
+    "co-dart": "D{?", "co-cricket": "D}?", "K2,3": "D]o", "2K2": "C`",
+    "3K1": "B?", "4K1": "C?", "P3+K1": "Cg", "K2+2K1": "C_", "K3+K1": "Cw",
+    "co-P5": "DUw", "K5-e": "D~w", "co-(P3+2K1)": "DV{",
+}
+
+
+def test_catalog_labels_are_pinned():
+    assert {name: emit_graph6(g) for name, g in CATALOG.items()} == CATALOG_GRAPH6
+
+
+@pytest.mark.parametrize("inner,outer", [("P3+K1", "fork"), ("claw", "fork"), ("claw", "dart")])
+def test_pattern_implications_the_hypotheses_use(inner, outer):
+    # an inner-free graph is outer-free: T2 tests fork first, T3 claws before darts
+    assert bruteforce.has_induced(pattern(outer), pattern(inner))
 
 
 def test_pattern_aliases_and_unknown():
