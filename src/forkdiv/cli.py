@@ -101,9 +101,44 @@ def _envelope(command: str, input_meta, results, started: float | None):
     }
 
 
+_str = json.encoder.encode_basestring_ascii
+
+
+def _json(o, nl="\n") -> str:
+    """json.dumps(o, indent=2) with nl, a newline plus o's indent, at each line break; values
+    not exact str/int/bool/None/list/str-keyed dict go to json.dumps (JSON has no raw newline)."""
+    t = type(o)
+    if t is str:
+        return _str(o)
+    if t is int:
+        return int.__repr__(o)
+    if o is None or t is bool:
+        return "null" if o is None else "true" if o else "false"
+    sep = "," + (inner := nl + "  ")
+    if t is list:
+        if all(type(x) is int for x in o):  # not bools, as int.__repr__(True) is "1"
+            return f"[{inner}{sep.join(map(int.__repr__, o))}{nl}]" if o else "[]"
+        return f"[{inner}{sep.join([_json(x, inner) for x in o])}{nl}]"
+    if t is dict and o and all(type(k) is str for k in o):
+        items = [f"{_str(k)}: {_json(v, inner)}" for k, v in o.items()]
+        return f"{{{inner}{sep.join(items)}{nl}}}"
+    return json.dumps(o, indent=2).replace("\n", nl)
+
+
 def _emit(payload) -> None:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=False)
-    sys.stdout.write("\n")
+    """Write json.dump(payload, sys.stdout, indent=2) and a newline, byte for
+    byte, with one write per item of a top-level list (each results row)."""
+    write = sys.stdout.write
+    if type(payload) is not dict or not payload or not all(type(k) is str for k in payload):
+        write(_json(payload) + "\n")
+        return
+    for i, (key, value) in enumerate(payload.items()):
+        write(f"{',' if i else '{'}\n  {_str(key)}: ")
+        items = value if type(value) is list and value else ()
+        for j, item in enumerate(items):
+            write(("," if j else "[") + "\n    " + _json(item, "\n    "))
+        write("\n  ]" if items else _json(value, "\n  "))
+    write("\n}\n")
 
 
 def _batch(args, graphs, meta, started, answer, blank=()):

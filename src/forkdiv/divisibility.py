@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decomposition import _homogeneous_set
-from .graph import Graph, _co_rows, bits, mask_of
+from .graph import MAX_VERTICES, Graph, _co_rows, bits, mask_of
 from .limits import SEARCH_CAP, CapacityError, InvariantError
 from .oracles import (
     _check_weights,
@@ -46,8 +46,8 @@ class Division:
 
     def to_json(self):
         out = {
-            "a": sorted(bits(self.a)),
-            "b": sorted(bits(self.b)),
+            "a": list(bits(self.a)),
+            "b": list(bits(self.b)),
             "strategy": self.strategy,
             "certificate": {
                 "a_is_perfect": True,  # _certify refuses an imperfect A
@@ -261,8 +261,8 @@ class ColorLayer:
 
     def to_json(self):
         return {
-            "a": sorted(bits(self.a)),
-            "b": sorted(bits(self.b)),
+            "a": list(bits(self.a)),
+            "b": list(bits(self.b)),
             "strategy": self.strategy,
             "colors_used": list(self.colors_used),
         }
@@ -350,6 +350,8 @@ def _line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
         raise ValueError("line_graph_division needs at least one edge")
     if not g.is_connected():
         raise ValueError("line_graph_division needs a connected graph")
+    if (m := g.edge_count) > MAX_VERTICES:
+        raise ValueError(f"line graph needs {m} vertices (one per edge), above {MAX_VERTICES}")
     return g.line_graph()
 
 

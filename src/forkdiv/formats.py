@@ -8,7 +8,10 @@ byte offsets; emitters are exact inverses on the supported range.
 
 from __future__ import annotations
 
-from .graph import MAX_VERTICES, Graph, bits
+from functools import cache
+from operator import itemgetter
+
+from .graph import MAX_VERTICES, Graph
 
 
 class FormatError(ValueError):
@@ -21,6 +24,15 @@ class FormatError(ValueError):
 
 # graph6 byte -> its six bits, high bit first
 _SIXES = {chr(v + 63): format(v, "06b") for v in range(64)}
+
+
+@cache  # one getter per n in 1..MAX_VERTICES
+def _grid(n: int):
+    """Getter from "0" plus the pair stream to the n x n adjacency bits, row by row, each
+    from vertex n-1 down; pair (i, j), i < j, is at 1 + j(j-1)/2 + i, the diagonal at 0."""
+    at = [j * (j - 1) // 2 + 1 for j in range(n)]
+    return itemgetter(*(at[v] + u if u < v else at[u] + v if u > v else 0
+                        for v in range(n) for u in range(n - 1, -1, -1)))
 
 
 def emit_graph6(g: Graph) -> str:
@@ -60,12 +72,8 @@ def parse_graph6(line: str) -> Graph:
     pairs = n * (n - 1) // 2
     if "1" in stream[pairs:]:
         raise FormatError("nonzero padding bits", len(line) - 1)
-    adj = [0] * n
-    for j in range(1, n):
-        adj[j] = col = int(stream[j * (j - 1) // 2 : j * (j + 1) // 2][::-1], 2)
-        for i in bits(col):
-            adj[i] |= 1 << j
-    return Graph(n, tuple(adj))
+    grid = "".join(_grid(n)("0" + stream)) if n else ""
+    return Graph(n, tuple(int(grid[v * n : v * n + n], 2) for v in range(n)))
 
 
 def parse_graph6_lines(text: str) -> list[Graph]:

@@ -1,12 +1,16 @@
+import contextlib
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import forkdiv
 from forkdiv import cli
@@ -325,6 +329,47 @@ def test_batch_envelope_is_pinned(command, digest, capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+_any_text = st.text(st.characters(exclude_categories=()))  # lone surrogates too
+_json_scalars = (
+    st.none() | st.booleans() | st.floats()
+    | st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-(2**64))
+    | _any_text
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\n\t", "\u2028", "\ud800", "caf\xe9", "\U0001f600"])
+)
+_json_keys = _any_text | st.integers() | st.booleans() | st.none()
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (
+        st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_json_keys, inner)
+        | st.lists(st.integers() | st.booleans())  # the writer joins lists of exact ints
+    ),
+    max_leaves=30,
+)
+
+
+@example({"results": [{"colors": [0, 1], "seen": [1, True, False]}, []], "timing_s": 0.25})
+@example([[], {}, (), [1, -1, 2**70], {1: 1.0, True: float("nan"), None: -0.0}])
+@given(_json_values | st.dictionaries(st.text(), _json_values))
+def test_emit_matches_json_dumps_indent_2(obj):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit(obj)
+    assert buf.getvalue() == json.dumps(obj, indent=2) + "\n"
+
+
+def test_emit_writes_one_row_at_a_time(monkeypatch):
+    # a batch envelope is never one string: each row goes out in writes of
+    # its own, so no write carries two rows
+    writes = []
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
+    graphs = graphs_up_to(5)[:50]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(emit_graph6(g) + "\n" for g in graphs)))
+    assert main(["color", "-"]) == 0
+    assert len(writes) >= 50
+    assert max(w.count('"graph6"') for w in writes) == 1
+    assert len(json.loads("".join(writes))["results"]) == 50
+
+
 def test_verify_from_corpus_file(tmp_path, capsys):
     corpus = tmp_path / "corpus.g6"
     corpus.write_text("".join(emit_graph6(g) + "\n" for g in enumerate_nonisomorphic(5)))
@@ -373,15 +418,18 @@ def test_linegraph_batch_keeps_going_past_bad_graphs(capsys, monkeypatch):
     # vertices, over the odd-hole cap of 16
     c19 = emit_graph6(Graph.cycle(19))
     k1 = emit_graph6(Graph.empty(1))
-    batch = "\n".join([C5, c18, c19, k1]) + "\n"
+    k17 = emit_graph6(Graph.complete(17))  # 136 edges: L(K17) is over Graph's 128 vertices
+    batch = "\n".join([C5, c18, c19, k1, k17]) + "\n"
     code, out, _ = run_cli(["linegraph", "--divide", "-"], capsys, stdin=batch, monkeypatch=monkeypatch)
     assert code == 2
-    small, disconnected, over, edgeless = json.loads(out)["results"]
+    small, disconnected, over, edgeless, dense = json.loads(out)["results"]
     assert are_isomorphic(parse_graph6(small["line_graph6"]), Graph.cycle(5))
     assert small["division"]["strategy"] == "spanning-tree"
     assert disconnected == {"graph6": c18, "error": "line_graph_division needs a connected graph"}
     assert over == {"graph6": c19, "error": "find_odd_hole: graph has 18 vertices, cap is 16"}
     assert edgeless == {"graph6": k1, "error": "line_graph_division needs at least one edge"}
+    assert k17 == "P~~~~~~~~~~~~~~~~~~~~~~{"
+    assert dense == {"graph6": k17, "error": "line graph needs 136 vertices (one per edge), above 128"}
 
 
 def test_linegraph_certificate_failure_exits_1(capsys, monkeypatch):

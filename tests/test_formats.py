@@ -40,35 +40,62 @@ def test_graph6_matches_networkx_on_catalog():
         assert emit_graph6(g) == want
 
 
-@given(graphs(max_n=8))
+def read_graph6_bit_by_bit(text: str) -> Graph:
+    """Reference reader for well-formed graph6: the size, then one bit at a
+    time, high bit of each byte first, over the pairs x(0,1), x(0,2), x(1,2),
+    x(0,3), ... of the column-major upper triangle."""
+    if text[0] == "~":
+        n = sum((ord(ch) - 63) << shift for ch, shift in zip(text[1:4], (12, 6, 0)))
+        body = text[4:]
+    else:
+        n, body = ord(text[0]) - 63, text[1:]
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    edges = []
+    for k, (i, j) in enumerate(pairs):
+        if (ord(body[k // 6]) - 63) >> (5 - k % 6) & 1:
+            edges.append((i, j))
+    return Graph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 6, 7, 62, 63, 64, 127, 128])
+def test_graph6_parse_matches_bit_by_bit_reader(n):
+    rng = random.Random(n)
+    head = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+    pairs = n * (n - 1) // 2
+    for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+        stream = [int(rng.random() < density) for _ in range(pairs)]
+        stream += [0] * (-pairs % 6)
+        text = head + "".join(
+            chr(63 + int("".join(map(str, stream[k : k + 6])), 2)) for k in range(0, len(stream), 6)
+        )
+        assert parse_graph6(text) == read_graph6_bit_by_bit(text)
+
+
+@given(graphs(max_n=12))
 def test_graph6_round_trip(g):
-    assert parse_graph6(emit_graph6(g)) == g
+    text = emit_graph6(g)
+    assert parse_graph6(text) == read_graph6_bit_by_bit(text) == g
 
 
 def test_graph6_parse_errors_carry_offsets():
-    with pytest.raises(FormatError) as err:
-        parse_graph6("")
-    assert err.value.offset == 0
-
-    with pytest.raises(FormatError) as err:
-        parse_graph6("~??")  # truncated four-byte size header
-    assert err.value.offset == 0
-
-    with pytest.raises(FormatError) as err:
-        parse_graph6("D?")  # truncated body
-    assert err.value.offset == 1
-
-    with pytest.raises(FormatError) as err:
-        parse_graph6("D?" + chr(200))
-    assert "outside" in str(err.value)
-    assert err.value.offset == 2
-
-    with pytest.raises(FormatError) as err:
-        parse_graph6("B" + chr(63 + 0b000001))  # padding bit set for n=3
-    assert err.value.offset == 1
-
-    with pytest.raises(FormatError):
-        parse_graph6(chr(30) + "??")
+    for text, message, offset in [
+        ("", "empty graph6 string", 0),
+        ("~??", "truncated graph6 size header", 0),
+        (chr(30) + "??", "size byte '\\x1e' outside graph6 range", 0),
+        ("~?" + chr(127) + "?", "size byte '\\x7f' outside graph6 range", 0),
+        ("~?A@" + "?" * 1376, "graph6 sizes above 128 vertices are not supported", 0),
+        ("D?", "graph6 body for n=5 needs 2 bytes, got 1", 1),
+        ("D???", "graph6 body for n=5 needs 2 bytes, got 3", 1),
+        ("~??~" + "?" * 300, "graph6 body for n=63 needs 326 bytes, got 300", 4),
+        ("D?" + chr(200), "byte 'È' outside graph6 range", 2),
+        ("D>?", "byte '>' outside graph6 range", 1),
+        ("E??" + chr(127), "byte '\\x7f' outside graph6 range", 3),
+        ("B" + chr(63 + 0b000001), "nonzero padding bits", 1),  # n=3 uses 3 of 6 bits
+        ("D?@", "nonzero padding bits", 2),
+    ]:
+        with pytest.raises(FormatError) as err:
+            parse_graph6(text)
+        assert (str(err.value), err.value.offset) == (f"{message} (offset {offset})", offset), text
 
 
 def test_graph6_lines_reports_line_numbers():
