@@ -26,7 +26,7 @@ from .formats import (
     parse_graph6,
     parse_graph6_lines,
 )
-from .graph import Graph, are_isomorphic, bit, bits, canonical_form, mask_of
+from .graph import Graph, are_isomorphic, bits, canonical_form, mask_of
 from .harness import (
     CHECKS,
     TheoremCheck,
@@ -79,7 +79,6 @@ __all__ = [
     "TheoremCheck",
     "TheoremReport",
     "are_isomorphic",
-    "bit",
     "bits",
     "canonical_form",
     "chromatic_number",

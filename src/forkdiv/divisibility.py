@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decomposition import _homogeneous_set
-from .graph import MAX_VERTICES, Graph, _co_rows, bits, mask_of
+from .graph import Graph, _co_rows, bits, mask_of
 from .limits import SEARCH_CAP, CapacityError, InvariantError
 from .oracles import (
     _check_weights,
@@ -327,20 +327,15 @@ def color_by_division(g: Graph) -> ColoringCertificate:
 # -- line graphs ---------------------------------------------------------
 
 
-def _dfs_tree_edges(g: Graph) -> set[tuple[int, int]]:
-    seen = {0}
+def _dfs_tree_edges(g: Graph, v: int = 0, seen: set[int] | None = None) -> set[tuple[int, int]]:
+    """Edges of the depth-first tree from v, neighbours taken in ascending order."""
+    seen = seen or {v}
     tree: set[tuple[int, int]] = set()
-    stack = [(0, iter(bits(g.adj[0])))]
-    while stack:
-        v, it = stack[-1]
-        for u in it:
-            if u not in seen:
-                seen.add(u)
-                tree.add((min(v, u), max(v, u)))
-                stack.append((u, iter(bits(g.adj[u]))))
-                break
-        else:
-            stack.pop()
+    for u in bits(g.adj[v]):
+        if u not in seen:
+            seen.add(u)
+            tree.add((min(v, u), max(v, u)))
+            tree |= _dfs_tree_edges(g, u, seen)
     return tree
 
 
@@ -350,8 +345,6 @@ def _line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
         raise ValueError("line_graph_division needs at least one edge")
     if not g.is_connected():
         raise ValueError("line_graph_division needs a connected graph")
-    if (m := g.edge_count) > MAX_VERTICES:
-        raise ValueError(f"line graph needs {m} vertices (one per edge), above {MAX_VERTICES}")
     return g.line_graph()
 
 

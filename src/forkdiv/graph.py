@@ -16,10 +16,6 @@ from .limits import CANONICAL_CAP, CapacityError
 MAX_VERTICES = 128
 
 
-def bit(v: int) -> int:
-    return 1 << v
-
-
 def bits(mask: int):
     """Iterate the set bit positions of mask in ascending order."""
     while mask:
@@ -129,10 +125,6 @@ class Graph:
         self._check_vertex(v)
         return self.adj[v]
 
-    def closed_neighborhood(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.adj[v] | 1 << v
-
     def non_neighborhood(self, v: int) -> int:
         """M(v): everything outside N(v) and v itself.
 
@@ -197,12 +189,12 @@ class Graph:
         return out
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        return len(self.components()) == 1
+        return len(self.components()) <= 1
 
     def line_graph(self) -> tuple["Graph", tuple[tuple[int, int], ...]]:
         """Line graph plus the map from its vertices back to edges of self."""
+        if (m := self.edge_count) > MAX_VERTICES:
+            raise ValueError(f"line graph needs {m} vertices (one per edge), above {MAX_VERTICES}")
         edge_list = tuple(self.edges())
         inc = [0] * self.n  # inc[v]: mask of the edges at v
         for i, (a, b) in enumerate(edge_list):
@@ -227,19 +219,16 @@ def _are_twins(adj: tuple[int, ...], u: int, v: int) -> bool:
 def _refine(adj: tuple[int, ...]) -> list[int]:
     """Cells of the stable colour-refinement (1-WL) colouring, in colour order.
 
-    Starts from degrees; each round recolours v by (its colour, the number
-    of its neighbours in each cell) and orders the new colours by that
-    signature, so the cell order is invariant under isomorphism.  The
-    signature leads with the old colour, so a round splits each cell in
-    place; its counts, 4 bits each in one int, order as their tuple (each
-    is at most CANONICAL_CAP - 1 = 9).  Stops once the cell count holds.
+    Starts from one cell, so the first round splits by degree; each round
+    recolours v by (its colour, the number of its neighbours in each cell)
+    and orders the new colours by that signature, so the cell order is
+    invariant under isomorphism.  The signature leads with the old colour,
+    so a round splits each cell in place; its counts, 4 bits each in one
+    int, order as their tuple (each is at most CANONICAL_CAP - 1 = 9).
+    Stops once the cell count holds.
     """
     n = len(adj)
-    by_degree: dict[int, int] = {}
-    for v, row in enumerate(adj):
-        d = row.bit_count()
-        by_degree[d] = by_degree.get(d, 0) | 1 << v
-    cells = [by_degree[d] for d in sorted(by_degree)]
+    cells = [(1 << n) - 1] if n else []
     while len(cells) < n:
         split: list[int] = []
         for cell in cells:
@@ -264,7 +253,7 @@ def canonical_form(g: Graph) -> bytes:
     """Canonical byte string; equal iff the graphs are isomorphic.
 
     Vertices are first coloured by colour refinement (1-WL): starting from
-    degrees, each vertex is recoloured by its colour and the multiset of its
+    one colour, each vertex is recoloured by its colour and the multiset of its
     neighbours' colours until the number of colour cells stops growing.
     Only orderings that list the cells in colour order are searched, so
     position k takes a vertex of the cell covering k; isomorphisms preserve
@@ -279,8 +268,6 @@ def canonical_form(g: Graph) -> bytes:
     n = g.n
     if n > CANONICAL_CAP:
         raise CapacityError("canonical_form", n, CANONICAL_CAP)
-    if n <= 1:
-        return bytes([n])
     adj = g.adj
     # slot[k]: the cell covering position k of an ordering
     slot = [cell for cell in _refine(adj) for _ in range(cell.bit_count())]

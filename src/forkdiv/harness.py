@@ -12,7 +12,7 @@ from __future__ import annotations
 import random as _random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from . import formats
 from .decomposition import find_homogeneous_set
@@ -23,17 +23,21 @@ from .oracles import _exact_coloring, _first_odd_hole, is_perfect_induced
 from .patterns import (_BINOMIAL, _SQUARE, CLASS_BOUNDS, _claw_triple, _iter_induced,
                        find_induced, pattern)
 
-# enumeration is append-only: level k holds all non-isomorphic graphs on k
-# vertices in first-seen order
-_LEVELS: list[list[Graph]] = [[Graph.empty(0)]]
-
 
 def enumerate_nonisomorphic(n: int) -> list[Graph]:
-    """All non-isomorphic graphs on exactly n vertices.
+    """All non-isomorphic graphs on exactly n vertices; _level builds each once."""
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    if n > ENUMERATION_CAP:
+        raise CapacityError("enumerate_nonisomorphic", n, ENUMERATION_CAP)
+    return list(_level(n))
 
-    Extends each representative on n-1 vertices by one vertex over every
-    possible neighbourhood, in ascending order, and keeps first
-    representatives by canonical form.  Any n-vertex graph arises this way
+
+@cache
+def _level(k: int) -> tuple[Graph, ...]:
+    """Level k: extends each representative on k-1 vertices by one vertex
+    over every possible neighbourhood, in ascending order, and keeps first
+    representatives by canonical form.  Any k-vertex graph arises this way
     from deleting its last vertex's image, so the sweep is exhaustive.
 
     Twin-orbit pruning skips, unlabelled, each nb holding v but not u for
@@ -41,32 +45,27 @@ def enumerate_nonisomorphic(n: int) -> list[Graph]:
     to the smaller nb - v + u, met earlier, so by induction on nb the child's
     key is already in `seen`, and every level keeps the same graphs in order.
     """
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
-    if n > ENUMERATION_CAP:
-        raise CapacityError("enumerate_nonisomorphic", n, ENUMERATION_CAP)
-    while len(_LEVELS) <= n:
-        k = len(_LEVELS)
-        seen: set[bytes] = set()
-        level: list[Graph] = []
-        for g in _LEVELS[k - 1]:
-            twins = [(1 << u | 1 << v, 1 << v)
-                     for v in range(k - 1) for u in range(v) if _are_twins(g.adj, u, v)]
-            base = list(g.adj) + [0]
-            for nb in range(1 << (k - 1)):
-                if any(nb & pair == high for pair, high in twins):
-                    continue
-                adj = base.copy()
-                adj[k - 1] = nb
-                for v in bits(nb):
-                    adj[v] |= 1 << (k - 1)
-                cand = Graph(k, tuple(adj))
-                key = canonical_form(cand)
-                if key not in seen:
-                    seen.add(key)
-                    level.append(cand)
-        _LEVELS.append(level)
-    return list(_LEVELS[n])
+    if k == 0:
+        return (Graph.empty(0),)
+    seen: set[bytes] = set()
+    level: list[Graph] = []
+    for g in _level(k - 1):
+        twins = [(1 << u | 1 << v, 1 << v)
+                 for v in range(k - 1) for u in range(v) if _are_twins(g.adj, u, v)]
+        base = list(g.adj) + [0]
+        for nb in range(1 << (k - 1)):
+            if any(nb & pair == high for pair, high in twins):
+                continue
+            adj = base.copy()
+            adj[k - 1] = nb
+            for v in bits(nb):
+                adj[v] |= 1 << (k - 1)
+            cand = Graph(k, tuple(adj))
+            key = canonical_form(cand)
+            if key not in seen:
+                seen.add(key)
+                level.append(cand)
+    return tuple(level)
 
 
 def graphs_up_to(n: int) -> list[Graph]:

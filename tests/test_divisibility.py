@@ -501,6 +501,29 @@ def test_line_graph_division_golden_cases():
     assert d.b == 0 and bin(d.a).count("1") == 4
 
 
+def ascending_dfs_tree(g):
+    """Depth-first tree from vertex 0: the vertex on top of the path steps
+    to its least unseen neighbour, or is popped when it has none."""
+    tree, seen, path = set(), {0}, [0]
+    while path:
+        v = path[-1]
+        u = next((u for u in range(g.n) if g.has_edge(v, u) and u not in seen), None)
+        if u is None:
+            path.pop()
+        else:
+            seen.add(u)
+            tree.add((min(u, v), max(u, v)))
+            path.append(u)
+    return tree
+
+
+@settings(max_examples=60)
+@given(connected_graphs(min_n=2, max_n=12))
+def test_line_graph_division_takes_the_ascending_dfs_tree(g):
+    _, edge_list, d = line_graph_division(g)
+    assert {edge_list[i] for i in bits(d.a)} == ascending_dfs_tree(g)
+
+
 def test_line_graph_division_rejects_bad_input():
     with pytest.raises(ValueError):
         line_graph_division(Graph.complete(1))

@@ -150,6 +150,14 @@ def test_line_graph_small_cases():
     assert are_isomorphic(p3, Graph.path(3))
 
 
+def test_line_graph_refuses_more_edges_than_vertices_allowed():
+    with pytest.raises(ValueError) as exc:
+        Graph.complete(17).line_graph()
+    assert str(exc.value) == "line graph needs 136 vertices (one per edge), above 128"
+    lg, _ = Graph.complete(16).disjoint_union(Graph.path(9)).line_graph()
+    assert lg.n == 128
+
+
 @given(graphs())
 def test_line_graph_counts(g):
     lg, edge_list = g.line_graph()

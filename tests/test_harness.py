@@ -44,10 +44,13 @@ def test_enumeration_matches_labeled_enumeration():
 
 
 def test_enumeration_output_is_pinned():
-    # the bytes of `forkdiv gen --all 7`: same representatives in the same order
-    text = "\n".join(emit_graph6(g) for g in enumerate_nonisomorphic(7)) + "\n"
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "aa8347fb48e37ddee5f27abd3425aaa093cf5184d787030198f2151ffe63ce52"
+    # the bytes of `forkdiv gen --all n`: same representatives in the same order
+    for n, expected in [
+        (7, "aa8347fb48e37ddee5f27abd3425aaa093cf5184d787030198f2151ffe63ce52"),
+        (8, "69fda48ed5c789b5945500540fd14b642a77c93379eff11f05401a5ed26b601c"),
+    ]:
+        text = "\n".join(emit_graph6(g) for g in enumerate_nonisomorphic(n)) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == expected, n
 
 
 def test_enumeration_capacity():
@@ -107,11 +110,14 @@ def test_pruned_levels_match_an_unpruned_sweep():
 
 def test_enumeration_labels_only_unpruned_candidates(monkeypatch):
     # a deterministic guard on twin-orbit pruning: building levels 1-7 labels
-    # 7,195 candidates, where the unpruned sweep labels 11,291
-    monkeypatch.setattr(harness, "_LEVELS", [[Graph.empty(0)]])
+    # 7,195 candidates, where the unpruned sweep labels 11,291; a second
+    # call finds every level built
+    harness._level.cache_clear()
     calls = []
     monkeypatch.setattr(harness, "canonical_form", lambda g: calls.append(g) or canonical_form(g))
     enumerate_nonisomorphic(7)
+    assert len(calls) == 7195
+    graphs_up_to(7)
     assert len(calls) == 7195
 
 
@@ -119,12 +125,12 @@ def test_graphs_up_to_is_cumulative():
     assert len(graphs_up_to(5)) == 1 + 2 + 4 + 11 + 34
 
 
-def test_graphs_up_to_refuses_before_building_a_level(monkeypatch):
-    monkeypatch.setattr(harness, "_LEVELS", [[Graph.empty(0)]])
+def test_graphs_up_to_refuses_before_building_a_level():
+    harness._level.cache_clear()
     with pytest.raises(CapacityError) as exc:
         graphs_up_to(9)
     assert str(exc.value) == "enumerate_nonisomorphic: graph has 9 vertices, cap is 8"
-    assert len(harness._LEVELS) == 1
+    assert harness._level.cache_info().currsize == 0
 
 
 def test_gnp_extremes_and_determinism():
