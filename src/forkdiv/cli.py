@@ -19,7 +19,6 @@ before any row (an unknown pattern, a bad weights file) write no envelope.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -80,6 +79,7 @@ def _read_graphs(path: str, fmt: str | None):
         raise _UsageError(f"{path}: {exc}") from exc
     if not graphs:
         raise _UsageError(f"{path}: no graphs found")
+    import hashlib  # here, so that `gen` and `verify --all` do not load it
     meta = {
         "path": path,
         "format": fmt,

@@ -49,13 +49,14 @@ def find_homogeneous_set(g: Graph) -> int | None:
 def _homogeneous_set(adj, mask):
     """find_homogeneous_set of the subgraph induced on mask, as a mask."""
     best: tuple[int, tuple[int, ...], int] | None = None
+    limit = mask.bit_count() - 1  # closures only grow, so one above limit cannot win
     for u, v in itertools.combinations(bits(mask), 2):
         s = 1 << u | 1 << v
-        while m := _mixed(adj, mask, s):
+        while s.bit_count() <= limit and (m := _mixed(adj, mask, s)):
             s |= m
-        if s == mask:
+        if (size := s.bit_count()) > limit:
             continue
-        key = (s.bit_count(), tuple(bits(s)), s)
+        key = (size, tuple(bits(s)), s)
         if best is None or key < best:
-            best = key
+            best, limit = key, size
     return best[2] if best else None

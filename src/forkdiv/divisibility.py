@@ -15,7 +15,7 @@ division is first re-derived by one certificate check, _certify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .decomposition import _homogeneous_set
 from .graph import Graph, _co_rows, bits, mask_of
@@ -31,18 +31,12 @@ from .oracles import (
 from .patterns import _BINOMIAL
 
 
-@dataclass(frozen=True)
-class Division:
-    """A checked split (a, b) of some graph's vertex set, as bitmasks."""
+class Division(namedtuple("Division", "a b strategy omega_b omega pivot omega_w_b omega_w",
+                          defaults=(None, None, None))):
+    """A checked split (a, b) of some graph's vertex set, as bitmasks; pivot
+    and the weighted certificates omega_w_b and omega_w default to None."""
 
-    a: int
-    b: int
-    strategy: str
-    omega_b: int
-    omega: int
-    pivot: int | None = None
-    omega_w_b: int | None = None  # weighted certificates, when built under weights
-    omega_w: int | None = None
+    __slots__ = ()
 
     def to_json(self):
         out = {
@@ -252,12 +246,10 @@ def is_perfectly_divisible_exact(g: Graph) -> bool:
 # -- colouring through divisions ----------------------------------------
 
 
-@dataclass(frozen=True)
-class ColorLayer:
-    a: int
-    b: int
-    strategy: str
-    colors_used: tuple[int, ...]
+class ColorLayer(namedtuple("ColorLayer", "a b strategy colors_used")):
+    """One peeled division (a, b) and the block of colours its A side took."""
+
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -268,13 +260,12 @@ class ColorLayer:
         }
 
 
-@dataclass(frozen=True)
-class ColoringCertificate:
-    colors: tuple[int, ...]
-    palette: int
-    bound_value: int
-    layers: tuple[ColorLayer, ...]
-    fallback: bool
+class ColoringCertificate(namedtuple("ColoringCertificate",
+                                      "colors palette bound_value layers fallback")):
+    """Colours per vertex, their count, the binomial bound's value, the
+    ColorLayers, and whether a residual was coloured exactly."""
+
+    __slots__ = ()
 
     def to_json(self):
         return {

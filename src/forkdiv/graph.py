@@ -9,8 +9,6 @@ oracle results keyed on the graph itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .limits import CANONICAL_CAP, CapacityError
 
 MAX_VERTICES = 128
@@ -31,14 +29,38 @@ def mask_of(vertices) -> int:
     return m
 
 
-@dataclass(frozen=True, slots=True)
 class Graph:
-    """Immutable simple graph; adj[v] is the neighbour bitmask of v."""
+    """Immutable simple graph; adj[v] is the neighbour bitmask of v.
+    Graphs are equal, and hash, by (n, adj), and equal no other type."""
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ("n", "adj")
+
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
+        self.__post_init__()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: Graph is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.adj == other.adj
+
+    def __hash__(self):
+        return hash((self.n, self.adj))
+
+    def __repr__(self):
+        return f"Graph(n={self.n!r}, adj={self.adj!r})"
+
+    def __reduce__(self):
+        return Graph, (self.n, self.adj)
 
     def __post_init__(self):
+        """Validate n and adj; perfbench's tracer counts constructions here."""
         if not 0 <= self.n <= MAX_VERTICES:
             raise ValueError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
         if len(self.adj) != self.n:

@@ -9,9 +9,8 @@ deterministic.
 
 from __future__ import annotations
 
-import random as _random
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache, lru_cache
 
 from . import formats
@@ -84,7 +83,8 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
-    rng = _random.Random(seed)
+    import random  # here, so that importing the CLI does not load it
+    rng = random.Random(seed)
     edges = [
         (i, j)
         for i in range(n)
@@ -130,21 +130,11 @@ def _imperfect_non_neighborhood(g: Graph, vertices, key: str) -> dict | None:
 # -- the checks ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Outcome:
-    matched: bool
-    tags: tuple[str, ...] = ()
-    failure: dict | None = None
+Outcome = namedtuple("Outcome", "matched tags failure", defaults=((), None))
 
-
-@dataclass(frozen=True)
-class TheoremCheck:
-    check_id: str
-    claim: str
-    evaluate: "callable"
-    # declared tag names get zero-filled in reports, so a vacuous direction
-    # still shows up as an explicit 0 rather than silently missing
-    tag_names: tuple = ()
+# a check's tag_names get zero-filled in reports, so a vacuous direction
+# still shows up as an explicit 0 rather than silently missing
+TheoremCheck = namedtuple("TheoremCheck", "check_id claim evaluate tag_names", defaults=((),))
 
 
 def _t1(g: Graph) -> Outcome:
@@ -350,17 +340,19 @@ CHECKS: dict[str, TheoremCheck] = {
 }
 
 
-@dataclass
 class TheoremReport:
-    check_id: str
-    claim: str
-    corpus: str
-    graphs_scanned: int = 0
-    hypothesis_matches: int = 0
-    tag_counts: dict = field(default_factory=dict)
-    counterexamples: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
-    wall_time_s: float = 0.0
+    """One check's tallies over one corpus; run_check fills it in."""
+
+    def __init__(self, check_id: str, claim: str, corpus: str):
+        self.check_id = check_id
+        self.claim = claim
+        self.corpus = corpus
+        self.graphs_scanned = 0
+        self.hypothesis_matches = 0
+        self.tag_counts: dict = {}
+        self.counterexamples: list = []
+        self.skipped: list = []
+        self.wall_time_s = 0.0
 
     @property
     def passed(self) -> bool:

@@ -8,8 +8,7 @@ extra vertex, so each construction reads like its definition.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .graph import Graph, _are_twins, _co_rows, bits
@@ -76,12 +75,10 @@ def pattern_names() -> list[str]:
     return sorted(CATALOG)
 
 
-@dataclass(frozen=True)
-class PatternWitness:
+class PatternWitness(namedtuple("PatternWitness", "pattern_name mapping")):
     """An induced embedding: mapping[i] is the host vertex for pattern vertex i."""
 
-    pattern_name: str | None
-    mapping: tuple[int, ...]
+    __slots__ = ()
 
     def validate(self, host: Graph, pat: Graph) -> bool:
         m = self.mapping
@@ -207,14 +204,11 @@ def _claw_triple(adj, v) -> tuple[int, int, int] | None:
 # -- chi bounds per forbidden companion pattern -------------------------
 
 
-@dataclass(frozen=True)
-class BoundRecord:
+class BoundRecord(namedtuple("BoundRecord", "kind text evaluate")):
     """A chi-binding function: its kind, its formula as text, and evaluate,
     which maps omega to the bound."""
 
-    kind: str
-    text: str
-    evaluate: Callable[[int], int]
+    __slots__ = ()
 
     def to_json(self):
         return {"kind": self.kind, "text": self.text}
@@ -243,12 +237,11 @@ CLASS_BOUNDS: dict[str, BoundRecord] = {
 }
 
 
-@dataclass(frozen=True)
-class ClassMembership:
-    forbidden: str
-    free: bool
-    bound: BoundRecord
-    value: int | None  # bound evaluated at omega(g) when the class applies
+class ClassMembership(namedtuple("ClassMembership", "forbidden free bound value")):
+    """Whether g is free of the forbidden pattern (and fork-free), the class's
+    BoundRecord, and value, the bound at omega(g) when the class applies."""
+
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -259,12 +252,11 @@ class ClassMembership:
         }
 
 
-@dataclass(frozen=True)
-class ClassReport:
-    omega: int
-    fork_free: bool
-    memberships: tuple[ClassMembership, ...]
-    tightest: tuple[str, int] | None
+class ClassReport(namedtuple("ClassReport", "omega fork_free memberships tightest")):
+    """classify's result: a ClassMembership per class bound and the tightest
+    applicable (forbidden, value), or None."""
+
+    __slots__ = ()
 
     def to_json(self):
         return {

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -5,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
+from forkdiv.divisibility import Division
 from forkdiv.graph import Graph, _refine, are_isomorphic, bits, canonical_form, mask_of
-from forkdiv.harness import graphs_up_to
+from forkdiv.harness import Outcome, graphs_up_to
 from strategies import graphs
 from test_oracles import petersen
 
@@ -50,6 +52,49 @@ def test_rejects_self_loops():
 def test_rejects_bits_beyond_n():
     with pytest.raises(ValueError):
         Graph(2, (0b110, 0b001))
+
+
+def test_every_construction_validates_once(monkeypatch):
+    # perfbench's tracer counts constructions by wrapping __post_init__ on the class
+    calls = []
+    validate = Graph.__post_init__
+
+    def counted(g):
+        calls.append(g)
+        validate(g)
+
+    p3 = Graph.path(3)
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    built = [Graph(3, p3.adj), Graph.from_edges(3, [(0, 1)]), p3.induced(0b011)[0], p3.complement()]
+    assert len(calls) == len(built)
+    assert all(seen is g for seen, g in zip(calls, built))
+
+
+def test_graph_is_immutable():
+    g = Graph.path(3)
+    for attr in ("n", "adj", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, attr, 0)
+        with pytest.raises(AttributeError):
+            delattr(g, attr)
+    assert (g.n, g.adj) == (3, (0b010, 0b101, 0b010))
+
+
+def test_graphs_are_equal_and_hash_by_n_and_adj_only():
+    g, h = Graph.path(4), Graph.from_edges(4, [(3, 2), (2, 1), (1, 0)])
+    assert g is not h and g == h and hash(g) == hash(h) and len({g, h}) == 1
+    assert g != Graph.cycle(4) and Graph.empty(0) != Graph.empty(1)
+    assert g != (g.n, g.adj) and (g.n, g.adj) != g and not isinstance(g, tuple)
+    assert pickle.loads(pickle.dumps(g)) == g
+    assert repr(g) == "Graph(n=4, adj=(2, 5, 10, 4))"
+
+
+def test_result_records_keep_their_defaults():
+    d = Division(0b01, 0b10, "exhaustive", 1, 1)
+    assert (d.pivot, d.omega_w_b, d.omega_w) == (None, None, None)
+    assert d._replace(pivot=0).pivot == 0 and d._asdict()["strategy"] == "exhaustive"
+    out = Outcome(True, failure={"cycle": [0, 1, 2, 3, 4]})
+    assert out.tags == () and out.failure == {"cycle": [0, 1, 2, 3, 4]}
 
 
 def test_from_edges_dedupes_and_orders():

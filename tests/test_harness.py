@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import random
 from itertools import combinations
 from unittest import mock
 
@@ -147,7 +148,7 @@ def test_gnp_refuses_a_vertex_count_before_drawing(n, monkeypatch):
     def no_draws(seed):
         raise AssertionError("drew edges for a vertex count Graph refuses")
 
-    monkeypatch.setattr(harness._random, "Random", no_draws)
+    monkeypatch.setattr(random, "Random", no_draws)
     with pytest.raises(ValueError) as exc:
         random_gnp(n, 0.5, 1)
     assert str(exc.value) == f"vertex count {n} outside 0..128"

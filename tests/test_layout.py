@@ -1,8 +1,10 @@
 """Guards on the package's layout: a stdlib-only runtime, brute-force
-oracles that share no code with production, and caps that are constants."""
+oracles that share no code with production, caps that are constants, and a
+CLI import that leaves the heavier standard modules unloaded."""
 
 import ast
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
@@ -61,3 +63,15 @@ def test_no_public_callable_takes_a_cap():
             if param == "cap" or param.endswith("_cap"):
                 capped.add(f"{name}({param})")
     assert capped == set()
+
+
+def test_importing_the_cli_loads_no_heavy_standard_module():
+    # each costs milliseconds on every cold start (dataclasses pulls in inspect,
+    # ast and tokenize); hashlib and random have one user each, which imports
+    # them when called
+    heavy = ("dataclasses", "inspect", "typing", "hashlib", "random")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import forkdiv.cli; "
+            "print(*sorted(set(sys.argv[2:]) & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(PACKAGE.parent), *heavy],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
