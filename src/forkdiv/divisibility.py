@@ -2,13 +2,13 @@
 
 A division of G splits V into A and B with G[A] perfect and, when G has any
 vertices, omega(G[B]) < omega(G).  Every routine here works on vertex masks
-of one host graph.  The weighted engine divides H = G[U], U the support of
-the weights: a pivot v with perfect M_H(v) yields S = M_H(v) + v and T =
-N_H(v) plus the zero-weight vertices; otherwise a homogeneous set X of H is
-contracted onto its minimum vertex, weighted by the max clique weight of
-H[X], and divisions of the quotient and of H[X] recombine by substitution.
-Failing both, the exact-divisibility submask scan runs on a compact copy of
-G[mask] for its 2**k tables: the one induced copy the engine makes.
+of one host graph, and none builds an induced copy.  The weighted engine
+divides H = G[U], U the support of the weights: a pivot v with perfect
+M_H(v) yields S = M_H(v) + v and T = N_H(v) plus the zero-weight vertices;
+failing that, an exhaustive search for a perfect S that meets every
+maximum-weight clique of H finds one or proves that none exists.
+perfect_division tests G for perfection, then runs the same engine under
+unit weights.  The 2**n tables serve exact divisibility alone.
 color_by_division peels its layers as masks of the host.  Every returned
 division is first re-derived by one certificate check, _certify.
 """
@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .decomposition import _homogeneous_set
 from .graph import Graph, _co_rows, bits, mask_of
 from .limits import SEARCH_CAP, CapacityError, InvariantError
 from .oracles import (
     _check_weights,
     _exact_coloring,
     _max_clique_size,
+    _max_weight_clique,
     _max_weight_value,
     _odd_holes,
     is_perfect_induced,
@@ -89,36 +89,31 @@ def perfect_division(g: Graph) -> Division | None:
 
     Strategies in order: the whole graph is perfect; the weighted engine
     under unit weights, which first tries each vertex whose
-    non-neighbourhood induces a perfect graph (ascending index); the
-    exact-divisibility submask scan on V, which takes the numerically
-    largest perfect A.  The first step's odd-hole search raises
-    CapacityError on a graph over limits.SEARCH_CAP (16) vertices, so no
-    strategy runs above it.
+    non-neighbourhood induces a perfect graph (ascending index), then
+    searches for a perfect A that meets every maximum clique (see
+    _transversal).  The first step's odd-hole search raises CapacityError
+    on a graph over limits.SEARCH_CAP (16) vertices, so no strategy runs
+    above it.
     """
     return _divide_mask(g, g.vertex_mask)
 
 
 def _divide_mask(g, mask, omega=None):
     """perfect_division of G[mask], with both sides as masks of g (omega as
-    for _certify).  Only the exhaustive fallback copies G[mask], for tables."""
+    for _certify)."""
     if is_perfect_induced(g, mask):
         return _certify(g, mask, 0, "perfect-whole", within=mask, omega=omega)
     res = _divide_support(g, mask, (1,) * g.n)
-    if res is not None:
-        a, b, strategy, pivot = res
-        return _certify(g, a, b, strategy, pivot, within=mask, omega=omega)
-    # is_perfect_induced above refused a mask over SEARCH_CAP, so the tables are bounded
-    h, vmap = g.induced(mask)
-    a = _division_scan(h.vertex_mask, _omega_table(h), _imperfect_table(h))
-    if a is None:
+    if res is None:
         return None
-    a = mask_of(vmap[i] for i in bits(a))
-    return _certify(g, a, mask & ~a, "exhaustive", within=mask, omega=omega)
+    a, b, strategy, pivot = res
+    return _certify(g, a, b, strategy, pivot, within=mask, omega=omega)
 
 
 def divide_weighted(g: Graph, w) -> Division | None:
     """A division for nonnegative integer weights w (not all zero):
-    G[S] perfect and the max clique weight strictly drops on T."""
+    G[S] perfect and the max clique weight strictly drops on T; None when
+    the exhaustive search proves that none exists."""
     w = _check_weights(g, w)
     support = mask_of(v for v in range(g.n) if w[v] > 0)
     if not support:
@@ -132,46 +127,35 @@ def divide_weighted(g: Graph, w) -> Division | None:
 
 def _divide_support(g, u_mask, w):
     """Divide H = G[u_mask] under all-positive weights; returns
-    (s, t, strategy, pivot) partitioning u_mask, or None."""
+    (s, t, strategy, pivot) partitioning u_mask, or None when none exists."""
     for v in bits(u_mask):
         m_h = u_mask & ~g.adj[v] & ~(1 << v)
         if is_perfect_induced(g, m_h):
             return m_h | 1 << v, u_mask & g.adj[v], "perfect-non-neighborhood", v
-    x = _homogeneous_set(g.adj, u_mask)
-    return None if x is None else _divide_with_module(g, u_mask, w, x)
+    s = _transversal(g, u_mask, w, _max_weight_value(g.adj, w, u_mask), 0, 0)
+    return None if s is None else (s, u_mask & ~s, "exhaustive", None)
 
 
-def _divide_with_module(g, u_mask, w, x):
-    """Divide G[u_mask] through the homogeneous set x of G[u_mask]."""
-    rep = x & -x
-    rep_v = rep.bit_length() - 1
-    quotient_mask = (u_mask & ~x) | rep
-    w_quotient = list(w)
-    w_quotient[rep_v] = _max_weight_value(g.adj, w, x)
-    res_q = _divide_support(g, quotient_mask, tuple(w_quotient))
-    if res_q is None:
-        return None
-    s_q, _, _, _ = res_q
-    res_x = _divide_support(g, x, w)
-    if res_x is None:
-        return None
-    s_x, _, _, _ = res_x
-    if s_q & rep:
-        s = (s_q & ~rep) | s_x
-    else:
-        s = s_q
-    t = u_mask & ~s
-    # substitution must preserve both division properties; anything else
-    # is a bug in the recombination, not a fact about the input
-    if not is_perfect_induced(g, s):
-        raise InvariantError(
-            f"module recombination: S not perfect (s={sorted(bits(s))}, x={sorted(bits(x))})"
-        )
-    if _max_weight_value(g.adj, w, t) >= _max_weight_value(g.adj, w, u_mask):
-        raise InvariantError(
-            f"module recombination: no weighted drop (x={sorted(bits(x))})"
-        )
-    return s, t, "homogeneous-recursion", None
+def _transversal(g, u_mask, w, top, s, banned):
+    """A perfect s' within u_mask, containing s and missing banned, that meets
+    every clique of weight top (the max over u_mask), or None.
+
+    The first maximum-weight clique left in u_mask - s must be met, so branch
+    on its unbanned vertices in ascending order, keeping a branch only while
+    s stays perfect, and ban each vertex once its branch fails.  Perfection
+    is hereditary, so every minimal such s' lies below some branch: a None
+    proves that G[u_mask] has no division under w."""
+    weight, clique = _max_weight_clique(g.adj, w, u_mask & ~s)
+    if weight < top:
+        return s
+    for v in bits(clique & ~banned):
+        bit = 1 << v
+        if is_perfect_induced(g, s | bit):
+            found = _transversal(g, u_mask, w, top, s | bit, banned)
+            if found is not None:
+                return found
+        banned |= bit
+    return None
 
 
 def _imperfect_table(g: Graph) -> bytes:

@@ -152,15 +152,20 @@ def _wsum(weights, mask):
 def max_weight_clique(g: Graph, weights) -> tuple[int, int]:
     """(best total weight, witness bitmask); witness is lexicographically
     smallest among optima, which may include zero-weight vertices."""
-    weights = _check_weights(g, weights)
-    target = _max_weight_value(g.adj, weights, g.vertex_mask)
+    return _max_weight_clique(g.adj, _check_weights(g, weights), g.vertex_mask)
+
+
+def _max_weight_clique(adj, weights, cand):
+    """max_weight_clique within the mask cand: the best weight, then the
+    witness grown one ascending vertex at a time while the rest can still
+    make up the remaining weight."""
+    target = _max_weight_value(adj, weights, cand)
     chosen = 0
-    cand = g.vertex_mask
     remaining = target
     while remaining > 0:
         for v in bits(cand):
-            rest = cand & g.adj[v]
-            if weights[v] + _max_weight_value(g.adj, weights, rest) == remaining:
+            rest = cand & adj[v]
+            if weights[v] + _max_weight_value(adj, weights, rest) == remaining:
                 chosen |= 1 << v
                 cand = rest
                 remaining -= weights[v]

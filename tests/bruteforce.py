@@ -5,6 +5,7 @@ scans and permutation sweeps only.  Keep it that way; the point is a second
 route to each answer.
 """
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from forkdiv.graph import Graph, bits, mask_of
@@ -186,6 +187,30 @@ def has_division(g: Graph) -> bool:
         if perf[a] and om[full & ~a] < om[full]:
             return True
     return False
+
+
+def max_weight_clique_table(g: Graph, w) -> list[int]:
+    """Max clique weight of every induced submask, by deletion recursion on
+    the lowest vertex: leave it out, or take it with its neighbours."""
+    table = [0] * (1 << g.n)
+    for mask in range(1, 1 << g.n):
+        v = (mask & -mask).bit_length() - 1
+        table[mask] = max(table[mask & (mask - 1)], w[v] + table[mask & g.adj[v]])
+    return table
+
+
+@lru_cache(maxsize=256)
+def _perfect_sets(g: Graph) -> tuple[bool, ...]:
+    # one graph is checked under many weightings; graphs are hashable values
+    return tuple(perfect_table(g))
+
+
+def has_weighted_division(g: Graph, w) -> bool:
+    """Whether some perfect A leaves a smaller max clique weight on V - A."""
+    perf = _perfect_sets(g)
+    heaviest = max_weight_clique_table(g, w)
+    full = (1 << g.n) - 1
+    return any(perf[a] and heaviest[full & ~a] < heaviest[full] for a in range(full + 1))
 
 
 def is_perfectly_divisible(g: Graph) -> bool:

@@ -4,6 +4,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
+from forkdiv.formats import parse_graph6
 from forkdiv.graph import Graph, mask_of
 
 
@@ -42,6 +43,26 @@ def connected_graphs(draw, min_n: int = 1, max_n: int = 7):
 def weighted_graphs(draw, min_n: int = 1, max_n: int = 6, max_w: int = 5):
     g = draw(graphs(min_n, max_n))
     w = tuple(draw(st.integers(0, max_w)) for _ in range(g.n))
+    return g, w
+
+
+# no vertex of these has a perfect non-neighbourhood, so under positive
+# weights no pivot divides them and division falls through to the exhaustive
+# search; the last is the Grötzsch graph, which under unit weights has no
+# division at all
+_C5, _C7 = Graph.cycle(5), Graph.cycle(7)
+_PIVOTLESS = (_C5.disjoint_union(_C5), _C5.disjoint_union(_C7),
+              _C7.complement().disjoint_union(_C5), parse_graph6("JhdLA_gc?N_"))
+
+
+@st.composite
+def pivotless_weighted_graphs(draw, max_w: int = 3):
+    """A graph of _PIVOTLESS, or an induced subgraph of the Grötzsch graph,
+    with positive weights up to max_w."""
+    g = draw(st.sampled_from(_PIVOTLESS))
+    if g is _PIVOTLESS[-1]:
+        g, _ = g.induced(_vertex_mask(draw, g.n))
+    w = tuple(draw(st.integers(1, max_w)) for _ in range(g.n))
     return g, w
 
 

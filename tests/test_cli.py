@@ -229,6 +229,20 @@ def test_divide_weighted(tmp_path, capsys, monkeypatch):
     assert "single-graph" in err
 
 
+def test_divide_weighted_without_a_pivot(tmp_path, capsys, monkeypatch):
+    # no vertex of the Grötzsch graph has a perfect non-neighbourhood, yet
+    # under these weights it divides: the exhaustive search finds S = {2, 8}
+    wfile = tmp_path / "w.json"
+    wfile.write_text("[3, 1, 3, 1, 2, 2, 1, 1, 3, 1, 3]")
+    code, out, _ = run_cli(["divide", "--weights", str(wfile), "-"], capsys,
+                           stdin=MYCIELSKI + "\n", monkeypatch=monkeypatch)
+    assert code == 0
+    [row] = payload(out)["results"]
+    assert "error" not in row
+    assert (row["division"]["a"], row["division"]["strategy"]) == ([2, 8], "exhaustive")
+    assert row["division"]["certificate"]["omega_w"] == 6
+
+
 def test_color(capsys, monkeypatch):
     code, out, _ = run_cli(["color", "-"], capsys, stdin=C5 + "\n", monkeypatch=monkeypatch)
     assert code == 0

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +9,10 @@ from forkdiv import divisibility, formats, oracles
 from forkdiv.divisibility import (
     _certify,
     _divide_mask,
-    _divide_with_module,
     _division_scan,
     _imperfect_table,
     _omega_table,
+    _transversal,
     color_by_division,
     divide_weighted,
     is_perfectly_divisible_exact,
@@ -28,12 +30,22 @@ from forkdiv.oracles import (
     max_weight_clique,
 )
 from forkdiv.patterns import has_induced
-from strategies import connected_graphs, graphs, graphs_with_masks, weighted_graphs
+from strategies import (
+    connected_graphs,
+    graphs,
+    graphs_with_masks,
+    pivotless_weighted_graphs,
+    weighted_graphs,
+)
 from test_oracles import petersen
 
-# triangle-free with chi = 4, so no side A can leave a bipartite rest;
-# the smallest graph the exhaustive scan refutes
+# the Grötzsch graph: triangle-free with chi = 4, so no side A can leave a
+# bipartite rest; the smallest graph with no division, which the exhaustive
+# search refutes without a table
 MYCIELSKI_C5 = formats.parse_graph6("JhdLA_gc?N_")
+# weights under which it divides, though every vertex has an imperfect
+# non-neighbourhood
+GROTZSCH_WEIGHTS = (3, 1, 3, 1, 2, 2, 1, 1, 3, 1, 3)
 
 
 def clebsch():
@@ -66,13 +78,14 @@ def test_division_of_odd_cycle():
     _revalidate(Graph.cycle(5), d)
 
 
-def test_division_through_homogeneous_set():
-    # no vertex of C5 + C5 has a perfect non-neighbourhood
+def test_exhaustive_search_divides_two_odd_holes():
+    # no vertex of C5 + C5 has a perfect non-neighbourhood; the search meets
+    # each edge it finds left at its first vertex and stops at {4, 9}
     g = Graph.cycle(5).disjoint_union(Graph.cycle(5))
     d = perfect_division(g)
-    assert d.strategy == "homogeneous-recursion"
+    assert d.strategy == "exhaustive"
     assert d.pivot is None and d.omega_w is None
-    assert sorted(bits(d.a)) == [0, 2, 3, 5, 7, 8]
+    assert sorted(bits(d.a)) == [0, 1, 2, 3, 5, 6, 7, 8]
     _revalidate(g, d)
 
 
@@ -122,7 +135,7 @@ def _largest_division_side(g):
 
 @given(graphs(min_n=1))
 def test_division_scan_finds_a_division_iff_one_exists(g):
-    # production reaches this scan only when both division engines fail
+    # production reaches this scan only from is_perfectly_divisible_exact
     a = _division_scan(g.vertex_mask, _omega_table(g), _imperfect_table(g))
     assert (a is not None) == bruteforce.has_division(g)
     assert a == _largest_division_side(g)
@@ -140,30 +153,32 @@ def test_division_scan_passes_perfect_sides_without_a_drop():
     _revalidate(g, _certify(g, a, g.vertex_mask & ~a, "exhaustive"))
 
 
-def test_exhaustive_branch_takes_largest_perfect_side(monkeypatch):
-    monkeypatch.setattr(divisibility, "_divide_support", lambda g, u_mask, w: None)
+def test_exhaustive_search_meets_each_clique_left_at_its_first_vertex():
+    # C5 has a pivot, so call the search directly: it meets the edges 0-1,
+    # 1-2, 2-3 and 3-4 at their first vertex, which leaves {4}
     g = Graph.cycle(5)
-    d = perfect_division(g)
-    assert d.strategy == "exhaustive"
-    assert sorted(bits(d.a)) == [1, 2, 3, 4] and sorted(bits(d.b)) == [0]
-    _revalidate(g, d)
-    # the scan runs at the cap; one vertex over it, the odd-hole search of
-    # the first step refuses the graph before any table is built
-    d = perfect_division(g.disjoint_union(Graph.empty(11)))
-    assert d.strategy == "exhaustive" and sorted(bits(d.b)) == [0]
+    s = _transversal(g, g.vertex_mask, (1,) * 5, 2, 0, 0)
+    assert sorted(bits(s)) == [0, 1, 2, 3]
+    _revalidate(g, _certify(g, s, g.vertex_mask & ~s, "exhaustive"))
+    # isolated vertices are cliques of weight 1, below the top
+    h = g.disjoint_union(Graph.empty(11))
+    assert _transversal(h, h.vertex_mask, (1,) * 16, 2, 0, 0) == s
+    # a division runs at the cap; one vertex over it, the odd-hole search of
+    # the first step refuses the graph before any search
     with pytest.raises(CapacityError, match="^find_odd_hole: graph has 17 vertices, cap is 16$"):
         perfect_division(g.disjoint_union(Graph.empty(12)))
 
 
-def test_exhaustive_division_of_a_mask_maps_back_to_the_host(monkeypatch):
-    monkeypatch.setattr(divisibility, "_divide_support", lambda g, u_mask, w: None)
+def test_exhaustive_division_of_a_mask_maps_back_to_the_host():
     # a C5 on the scattered vertices 1, 3, 4, 6, 7, each with a pendant or
-    # neighbour outside the mask
+    # neighbour outside the mask; the search sees only the mask's cliques
     edges = [(1, 3), (3, 4), (4, 6), (6, 7), (7, 1), (0, 1), (2, 4), (5, 6)]
     g = Graph.from_edges(8, edges)
-    d = _divide_mask(g, mask_of([1, 3, 4, 6, 7]))
-    assert d.strategy == "exhaustive"
-    assert sorted(bits(d.a)) == [3, 4, 6, 7] and sorted(bits(d.b)) == [1]
+    mask = mask_of([1, 3, 4, 6, 7])
+    s = _transversal(g, mask, (1,) * 8, 2, 0, 0)
+    assert sorted(bits(s)) == [1, 3, 4, 6]
+    d = _certify(g, s, mask & ~s, "exhaustive", within=mask)
+    assert sorted(bits(d.b)) == [7] and (d.omega_b, d.omega) == (1, 2)
 
 
 @given(graphs())
@@ -210,24 +225,14 @@ def test_weights_must_be_plain_integers(entry, weights):
         entry(Graph.path(3), weights)
 
 
-def test_module_recombination_on_forced_square():
-    # C4 is perfect, so production never recurses; force the module path
-    g = Graph.cycle(4)
-    res = _divide_with_module(g, g.vertex_mask, (1, 1, 1, 1), mask_of([0, 2]))
-    s, t, strategy, pivot = res
-    assert sorted(bits(s)) == [0, 2]
-    assert sorted(bits(t)) == [1, 3]
-    assert strategy == "homogeneous-recursion"
-    assert pivot is None
-
-
-@given(weighted_graphs())
-def test_weighted_division_postconditions(gw):
-    g, w = gw
+def _check_weighted_division(g, w):
+    """divide_weighted(g, w) re-derived by brute force; a None must be a
+    graph and weighting with no division at all."""
     if not any(w):
         return
     d = divide_weighted(g, w)
     if d is None:
+        assert not bruteforce.has_weighted_division(g, w)
         return
     assert d.a & d.b == 0 and d.a | d.b == g.vertex_mask
     sub_a, _ = g.induced(d.a)
@@ -237,6 +242,34 @@ def test_weighted_division_postconditions(gw):
     dropped = bruteforce.max_weight_clique(sub_t, [w[v] for v in tmap])
     assert dropped < total
     assert (d.omega_w, d.omega_w_b) == (total, dropped)
+
+
+@given(weighted_graphs())
+def test_weighted_division_postconditions(gw):
+    _check_weighted_division(*gw)
+
+
+@given(pivotless_weighted_graphs())
+def test_weighted_division_postconditions_without_a_pivot(gw):
+    _check_weighted_division(*gw)
+
+
+def test_weighted_division_of_the_groetzsch_graph():
+    g = MYCIELSKI_C5
+    d = divide_weighted(g, GROTZSCH_WEIGHTS)
+    assert (d.strategy, d.pivot) == ("exhaustive", None)
+    assert sorted(bits(d.a)) == [2, 8] and (d.omega_w, d.omega_w_b) == (6, 5)
+    assert bruteforce.has_weighted_division(g, GROTZSCH_WEIGHTS)
+    # seeded weightings, zeros included: each has a division, and each found
+    # one is checked against the brute-force tables
+    perfect = bruteforce.perfect_table(g)
+    rng = random.Random(0)
+    for _ in range(600):
+        w = [rng.choice((0, 1, 1, 2, 3)) for _ in range(g.n)]
+        d = divide_weighted(g, w)
+        assert d is not None and bruteforce.has_weighted_division(g, w)
+        heaviest = bruteforce.max_weight_clique_table(g, w)
+        assert perfect[d.a] and (d.omega_w, d.omega_w_b) == (heaviest[-1], heaviest[d.b])
 
 
 @given(graphs(min_n=1, max_n=6))
@@ -271,15 +304,17 @@ def test_exact_divisibility_refutes_triangle_free_chi4():
     assert not bruteforce.is_perfectly_divisible(MYCIELSKI_C5)
 
 
-def test_clebsch_goldens_at_the_table_cap():
+def test_clebsch_goldens_at_the_table_cap(monkeypatch):
     g = clebsch()
     assert clique_number(g) == 2 and chromatic_number(g) == 4
     assert not is_perfectly_divisible_exact(g)
     # the complement is 3K1-free, so fork-free, and divisible all the way down
     assert is_perfectly_divisible_exact(g.complement())
-    # no pivot or module division; the exhaustive scan proves there is none
+    # no pivot, and the exhaustive search proves there is no division
+    # without building the tables that exact divisibility needs
+    built = count_omega_tables(monkeypatch)
     assert divisibility._divide_support(g, g.vertex_mask, (1,) * g.n) is None
-    assert perfect_division(g) is None
+    assert perfect_division(g) is None and built == []
     cert = color_by_division(g)
     assert cert.fallback and cert.palette == 4
     assert [(layer.a, layer.b, layer.strategy) for layer in cert.layers] == [
@@ -432,13 +467,16 @@ def test_coloring_refuses_a_seed_size_with_no_clique():
 @given(gm=graphs_with_masks())
 def test_division_of_a_mask_matches_the_induced_copy(exhaustive_only, gm):
     g, mask = gm
-    with pytest.MonkeyPatch.context() as mp:
-        if exhaustive_only:
-            # every imperfect mask then reaches the submask scan on a compact copy
-            mp.setattr(divisibility, "_divide_support", lambda g, u_mask, w: None)
-        h, vmap = g.induced(mask)
-        want = perfect_division(h)
-        got = _divide_mask(g, mask)
+    h, vmap = g.induced(mask)
+    if exhaustive_only:
+        # the search alone, pivot or not, perfect or not
+        want = _transversal(h, h.vertex_mask, (1,) * h.n, clique_number(h), 0, 0)
+        got = _transversal(g, mask, (1,) * g.n, clique_number(h), 0, 0)
+        assert got == (None if want is None else mask_of(vmap[i] for i in bits(want)))
+        assert (got is not None) == (h.n > 0 and bruteforce.has_division(h))
+        return
+    want = perfect_division(h)
+    got = _divide_mask(g, mask)
     assert (got is None) == (want is None)
     if want is not None:
         assert got.a == mask_of(vmap[i] for i in bits(want.a))
@@ -449,9 +487,9 @@ def test_division_of_a_mask_matches_the_induced_copy(exhaustive_only, gm):
 
 def test_coloring_builds_no_graph(monkeypatch):
     # layers are masks of the host graph: no induced copy, no index map
-    hosts = [Graph.cycle(5).disjoint_union(Graph.cycle(7)), petersen()]
+    hosts = [Graph.cycle(5).disjoint_union(Graph.cycle(7)), petersen(), MYCIELSKI_C5]
     hosts += [random_gnp(16, 0.8, seed) for seed in (2, 4, 8)]
-    assert not any(has_induced(g, "fork") for g in hosts[2:])
+    assert not any(has_induced(g, "fork") for g in hosts[3:])
     built = 0
     post_init = Graph.__post_init__
 
