@@ -287,23 +287,41 @@ def canonical_form(g: Graph) -> bytes:
     branched, keeping one representative per twin pair; this collapses the
     factorial blowup on graphs with many interchangeable vertices.
     """
-    n = g.n
-    if n > CANONICAL_CAP:
-        raise CapacityError("canonical_form", n, CANONICAL_CAP)
-    adj = g.adj
+    if g.n > CANONICAL_CAP:
+        raise CapacityError("canonical_form", g.n, CANONICAL_CAP)
+    return _label(g.adj)[0]
+
+
+def _label(adj) -> tuple[bytes, list[tuple[int, ...]]]:
+    """canonical_form's key of the graph with rows adj (at most CANONICAL_CAP
+    of them, unchecked), plus automorphisms as tuples p mapping v to p[v].
+
+    Each best ordering o reached after the first one, `first`, gives the
+    automorphism first[i] -> o[i], since both orderings read the same
+    adjacency string.  The search keeps one vertex per twin pair, so twin
+    swaps are never among them.
+    """
+    n = len(adj)
     # slot[k]: the cell covering position k of an ordering
     slot = [cell for cell in _refine(adj) for _ in range(cell.bit_count())]
 
     best: list[int] | None = None
+    first: list[int] = []
+    ties: list[list[int]] = []  # later orderings that reach best
     order: list[int] = []
     groups: list[int] = []  # groups[k] holds the k bits of order[k] vs order[0..k-1]
 
     def rec(used: int):
-        nonlocal best
+        nonlocal best, first
         k = len(order)
         if k == n:
+            # the prune below lets no leaf past best, so a leaf that is not
+            # less than best equals it
             if best is None or groups < best:
-                best = groups.copy()
+                best, first = groups.copy(), order.copy()
+                ties.clear()
+            else:
+                ties.append(order.copy())
             return
         lowest = -1
         cands: list[int] = []
@@ -342,7 +360,13 @@ def canonical_form(g: Graph) -> bytes:
     for k, val in enumerate(best):
         packed = packed << k | val
         width += k
-    return bytes([n]) + packed.to_bytes((width + 7) // 8, "big")
+    automorphisms = []
+    for o in ties:
+        p = [0] * n
+        for v, u in zip(first, o):
+            p[v] = u
+        automorphisms.append(tuple(p))
+    return bytes([n]) + packed.to_bytes((width + 7) // 8, "big"), automorphisms
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

@@ -16,7 +16,7 @@ from functools import cache, lru_cache
 from . import formats
 from .decomposition import find_homogeneous_set
 from .divisibility import is_perfectly_divisible_exact, line_graph_division, color_by_division
-from .graph import MAX_VERTICES, Graph, _are_twins, bits, canonical_form
+from .graph import MAX_VERTICES, Graph, _are_twins, _label, bits
 from .limits import ENUMERATION_CAP, CapacityError, InvariantError
 from .oracles import _exact_coloring, _first_odd_hole, is_perfect_induced
 from .patterns import (_BINOMIAL, _SQUARE, CLASS_BOUNDS, _claw_triple, _iter_induced,
@@ -35,36 +35,71 @@ def enumerate_nonisomorphic(n: int) -> list[Graph]:
 @cache
 def _level(k: int) -> tuple[Graph, ...]:
     """Level k: extends each representative on k-1 vertices by one vertex
-    over every possible neighbourhood, in ascending order, and keeps first
-    representatives by canonical form.  Any k-vertex graph arises this way
-    from deleting its last vertex's image, so the sweep is exhaustive.
+    over neighbourhoods in ascending order, and keeps first representatives
+    by canonical form.  Any k-vertex graph arises this way from deleting its
+    last vertex's image, so the sweep is exhaustive.
 
-    Twin-orbit pruning skips, unlabelled, each nb holding v but not u for
-    twins u < v of the parent: swapping them is an automorphism mapping nb
-    to the smaller nb - v + u, met earlier, so by induction on nb the child's
-    key is already in `seen`, and every level keeps the same graphs in order.
+    Orbit pruning labels only the neighbourhoods _least_in_orbit returns.
+    Each generator σ is an automorphism of the parent, so child(nb) is
+    isomorphic to child(σ(nb)).  An nb that is not least in its orbit
+    therefore has an isomorphic child already met from the same parent, so
+    its own child would never be kept, and every level keeps the same graphs
+    in the same order.  Whether the generators span the whole group changes
+    only how many neighbourhoods are skipped.  Candidates are labelled as
+    raw rows; only kept ones become a validated Graph.
     """
     if k == 0:
         return (Graph.empty(0),)
+    top = 1 << (k - 1)
     seen: set[bytes] = set()
     level: list[Graph] = []
     for g in _level(k - 1):
-        twins = [(1 << u | 1 << v, 1 << v)
-                 for v in range(k - 1) for u in range(v) if _are_twins(g.adj, u, v)]
-        base = list(g.adj) + [0]
-        for nb in range(1 << (k - 1)):
-            if any(nb & pair == high for pair, high in twins):
-                continue
-            adj = base.copy()
-            adj[k - 1] = nb
-            for v in bits(nb):
-                adj[v] |= 1 << (k - 1)
-            cand = Graph(k, tuple(adj))
-            key = canonical_form(cand)
+        adj = g.adj
+        for nb in _least_in_orbit(adj):
+            rows = [row | top if nb >> v & 1 else row for v, row in enumerate(adj)]
+            rows.append(nb)
+            key = _label(rows)[0]
             if key not in seen:
                 seen.add(key)
-                level.append(cand)
+                level.append(Graph(k, tuple(rows)))
     return tuple(level)
+
+
+def _least_in_orbit(adj) -> list[int] | range:
+    """The new-vertex neighbourhoods over the rows adj, ascending, that are
+    least in their orbit under the automorphisms _label finds and the twin
+    swaps (u v), which _label's search never reports."""
+    m = len(adj)
+    gens = _label(adj)[1]
+    for v in range(m):
+        for u in range(v):
+            if _are_twins(adj, u, v):
+                p = list(range(m))
+                p[u], p[v] = v, u
+                gens.append(p)
+    if not gens:
+        return range(1 << m)
+    tables = []
+    for p in gens:
+        img = [0]  # img[nb]: the image of nb under p, one OR per entry
+        for v in range(m):
+            bit = 1 << p[v]
+            img += [x | bit for x in img]
+        tables.append(img)
+    skip = bytearray(1 << m)
+    leaders = []
+    for nb in range(1 << m):
+        if skip[nb]:
+            continue
+        leaders.append(nb)
+        stack = [nb]  # mark nb's orbit; nb is its least member
+        while stack:
+            x = stack.pop()
+            for img in tables:
+                if not skip[y := img[x]]:
+                    skip[y] = 1
+                    stack.append(y)
+    return leaders
 
 
 def graphs_up_to(n: int) -> list[Graph]:

@@ -133,16 +133,22 @@ def find_odd_hole_subsets(g: Graph, cap: int = 10) -> int | None:
 
 
 def canonical(g: Graph) -> tuple:
-    """Lexicographically least upper-triangle bit tuple over all relabelings."""
-    best = None
-    for perm in permutations(range(g.n)):
-        rel = g.relabel(perm)
-        key = tuple(
-            (rel.adj[i] >> j) & 1 for j in range(1, g.n) for i in range(j)
-        )
-        if best is None or key < best:
-            best = key
-    return (g.n, best)
+    """Lexicographically least upper-triangle bit tuple over all relabelings.
+
+    The relabeling that puts vertex q[i] at position i reads bit (i, j) as
+    the edge q[i]-q[j], so no relabeled graph is built."""
+    adj = g.adj
+    pairs = [(i, j) for j in range(1, g.n) for i in range(j)]
+    return (g.n, min(tuple([adj[q[i]] >> q[j] & 1 for i, j in pairs])
+                     for q in permutations(range(g.n))))
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every permutation p (vertex v to p[v]) that maps edges onto edges and
+    non-edges onto non-edges, found by trying all n! of them."""
+    pairs = list(combinations(range(g.n), 2))
+    return [p for p in permutations(range(g.n))
+            if all(g.has_edge(p[u], p[v]) == g.has_edge(u, v) for u, v in pairs)]
 
 
 def _embeddings(host: Graph, pat: Graph):

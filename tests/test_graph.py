@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import bruteforce
 from forkdiv.divisibility import Division
-from forkdiv.graph import Graph, _refine, are_isomorphic, bits, canonical_form, mask_of
-from forkdiv.harness import Outcome, graphs_up_to
+from forkdiv.graph import (Graph, _are_twins, _label, _refine, are_isomorphic, bits, canonical_form,
+                           mask_of)
+from forkdiv.harness import Outcome, enumerate_nonisomorphic, graphs_up_to
 from strategies import graphs
 from test_oracles import petersen
 
@@ -277,6 +278,49 @@ def test_canonical_form_partition_matches_bruteforce():
             key, brute = canonical_form(g), bruteforce.canonical(g)
             assert fast.setdefault(key, brute) == brute
             assert slow.setdefault(brute, key) == key
+
+
+def _subset_orbits(perms, n: int) -> set[frozenset[int]]:
+    """The orbits on vertex subsets of the group the permutations generate."""
+    orbits, met = set(), set()
+    for s in range(1 << n):
+        if s in met:
+            continue
+        orbit, stack = {s}, [s]
+        while stack:
+            x = stack.pop()
+            for p in perms:
+                if (y := mask_of(p[v] for v in bits(x))) not in orbit:
+                    orbit.add(y)
+                    stack.append(y)
+        met |= orbit
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
+def test_label_automorphisms_match_the_bruteforce_group():
+    # every graph on at most 6 vertices, as enumerated and shuffled: _label
+    # keeps canonical_form's key, and each automorphism it returns is real;
+    # with the twin swaps its search skips, they give the whole group's
+    # orbits on vertex subsets, which is what the enumerator prunes by
+    rng = random.Random(6)
+    for n in range(7):
+        for g in enumerate_nonisomorphic(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for h in (g, g.relabel(perm)):
+                key, found = _label(h.adj)
+                assert key == canonical_form(h)
+                group = bruteforce.automorphisms(h)
+                assert set(found) <= set(group)
+                swaps = []
+                for v in range(n):
+                    for u in range(v):
+                        if _are_twins(h.adj, u, v):
+                            p = list(range(n))
+                            p[u], p[v] = v, u
+                            swaps.append(p)
+                assert _subset_orbits(found + swaps, n) == _subset_orbits(group, n)
 
 
 def _prism() -> Graph:

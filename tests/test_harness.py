@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import bruteforce
 from forkdiv.divisibility import ColoringCertificate, color_by_division
 from forkdiv.formats import emit_graph6
-from forkdiv.graph import Graph, _are_twins, bits, canonical_form
+from forkdiv.graph import Graph, bits, canonical_form, mask_of
 from forkdiv import harness
 from forkdiv.harness import (
     CHECKS,
@@ -67,29 +67,38 @@ def _child(p, nb):
 
 
 @st.composite
-def twin_skips(draw):
-    """A parent on at most 6 vertices, one of its twin pairs u < v, and a
-    neighbourhood holding v but not u: one that the enumerator skips.  The
-    parent's last vertex is planted as a twin of a drawn vertex, so every
-    parent has a twin pair."""
-    g = draw(graphs(min_n=1, max_n=5))
-    w = draw(st.integers(0, g.n - 1))
-    parent = _child(g, g.adj[w] | (1 << w if draw(st.booleans()) else 0))
-    pairs = [(u, v) for u, v in combinations(range(parent.n), 2) if _are_twins(parent.adj, u, v)]
-    u, v = draw(st.sampled_from(pairs))
-    nb = draw(st.integers(0, parent.vertex_mask)) & ~(1 << u) | 1 << v
-    return parent, u, v, nb
+def symmetric_parents(draw):
+    """A parent on 4 to 6 vertices with a planted automorphism: a last
+    vertex twinned to a drawn one, or two copies of one graph side by side
+    or joined; then its vertices are shuffled."""
+    if draw(st.booleans()):
+        g = draw(graphs(min_n=3, max_n=5))
+        w = draw(st.integers(0, g.n - 1))
+        parent = _child(g, g.adj[w] | (1 << w if draw(st.booleans()) else 0))
+    else:
+        h = draw(graphs(min_n=2, max_n=3))
+        parent = h.disjoint_union(h)
+        if draw(st.booleans()):
+            parent = parent.complement()
+    return parent.relabel(draw(st.permutations(range(parent.n))))
 
 
-@settings(max_examples=40)
-@given(twin_skips())
-def test_twin_pruning_skips_only_isomorphic_children(case):
-    # swapping twins is an automorphism of the parent, so the skipped child
-    # is isomorphic to the child of the smaller neighbourhood nb - v + u
-    parent, u, v, nb = case
-    swapped = nb & ~(1 << v) | 1 << u
-    assert swapped < nb
-    assert bruteforce.canonical(_child(parent, nb)) == bruteforce.canonical(_child(parent, swapped))
+@settings(max_examples=10)
+@given(symmetric_parents())
+def test_orbit_pruning_skips_only_isomorphic_children(parent):
+    # the least neighbourhood of each brute-force orbit is labelled, and every
+    # skipped one lies in the orbit of a smaller one, with an isomorphic child
+    labelled = set(harness._least_in_orbit(parent.adj))
+    group = bruteforce.automorphisms(parent)
+    keys: dict[int, tuple] = {}
+    for nb in range(1 << parent.n):
+        least = min(mask_of(p[v] for v in bits(nb)) for p in group)
+        assert least in labelled
+        if nb not in labelled:
+            assert least < nb
+            if least not in keys:
+                keys[least] = bruteforce.canonical(_child(parent, least))
+            assert bruteforce.canonical(_child(parent, nb)) == keys[least]
 
 
 def test_pruned_levels_match_an_unpruned_sweep():
@@ -110,16 +119,19 @@ def test_pruned_levels_match_an_unpruned_sweep():
 
 
 def test_enumeration_labels_only_unpruned_candidates(monkeypatch):
-    # a deterministic guard on twin-orbit pruning: building levels 1-7 labels
-    # 7,195 candidates, where the unpruned sweep labels 11,291; a second
-    # call finds every level built
+    # a deterministic guard on orbit pruning: building levels 1-7 labels
+    # 5,968 row sets (5,759 candidates and the 209 parents on levels 0-6),
+    # where the unpruned sweep labels 11,291 candidates; only kept graphs
+    # become a Graph, and a second call finds every level built
     harness._level.cache_clear()
-    calls = []
-    monkeypatch.setattr(harness, "canonical_form", lambda g: calls.append(g) or canonical_form(g))
+    calls, built = [], []
+    label, validate = harness._label, Graph.__post_init__
+    monkeypatch.setattr(harness, "_label", lambda adj: calls.append(adj) or label(adj))
+    monkeypatch.setattr(Graph, "__post_init__", lambda g: built.append(g) or validate(g))
     enumerate_nonisomorphic(7)
-    assert len(calls) == 7195
-    graphs_up_to(7)
-    assert len(calls) == 7195
+    assert len(calls) == 5968
+    assert len(built) == 1 + len(graphs_up_to(7)) == 1253
+    assert len(calls) == 5968
 
 
 def test_graphs_up_to_is_cumulative():
@@ -312,6 +324,7 @@ def test_oracles_and_labelling_leave_no_reference_cycles():
         for g in batch:
             color_by_division(g)
             max_weight_clique(g, range(g.n))
+        harness._level.cache_clear()  # so the enumerator runs here
         for g in enumerate_nonisomorphic(6):
             canonical_form(g)
         run_all(graphs_up_to(5), "all graphs on 1..5 vertices")
