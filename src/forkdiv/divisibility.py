@@ -22,9 +22,8 @@ from .limits import SEARCH_CAP, CapacityError, InvariantError
 from .oracles import (
     _check_weights,
     _exact_coloring,
+    _max_clique,
     _max_clique_size,
-    _max_weight_clique,
-    _max_weight_value,
     _odd_holes,
     is_perfect_induced,
 )
@@ -57,11 +56,13 @@ class Division(namedtuple("Division", "a b strategy omega_b omega pivot omega_w_
         return out
 
 
-def _certify(g, a, b, strategy, pivot=None, w=None, within=None, omega=None) -> Division:
+def _certify(g, a, b, strategy, pivot=None, w=None, within=None, omega=None,
+             omega_w=None) -> Division:
     """Assemble a Division of G[within] (default: all of G), re-deriving its
     certificate from the oracles: a and b partition within, G[a] is perfect,
     and omega drops on b (when within is nonempty) or, under weights w, the
-    max clique weight does; omega(G[within]) may come from an earlier certificate."""
+    max clique weight does; omega(G[within]) and its max clique weight
+    omega_w may come from the caller, which searched them already."""
     within = g.vertex_mask if within is None else within
     if a & b or (a | b) != within:
         raise InvariantError(f"{strategy}: sides do not partition the vertex set")
@@ -69,10 +70,10 @@ def _certify(g, a, b, strategy, pivot=None, w=None, within=None, omega=None) -> 
         raise InvariantError(f"{strategy}: side A is not perfect (a={sorted(bits(a))})")
     omega_b = _max_clique_size(g.adj, b)
     omega = _max_clique_size(g.adj, within) if omega is None else omega
-    omega_w_b = omega_w = None
+    omega_w_b = None
     if w is not None:
-        omega_w_b = _max_weight_value(g.adj, w, b)
-        omega_w = _max_weight_value(g.adj, w, within)
+        omega_w_b = _max_clique_size(g.adj, b, w)
+        omega_w = _max_clique_size(g.adj, within, w) if omega_w is None else omega_w
         if omega_w_b >= omega_w:
             raise InvariantError(
                 f"{strategy}: no weighted clique drop (omega_w_b={omega_w_b}, omega_w={omega_w})"
@@ -95,19 +96,21 @@ def perfect_division(g: Graph) -> Division | None:
     on a graph over limits.SEARCH_CAP (16) vertices, so no strategy runs
     above it.
     """
-    return _divide_mask(g, g.vertex_mask)
+    return _divide_mask(g, g.vertex_mask)[0]
 
 
 def _divide_mask(g, mask, omega=None):
-    """perfect_division of G[mask], with both sides as masks of g (omega as
-    for _certify)."""
+    """perfect_division of G[mask], with both sides as masks of g, and
+    omega(G[mask]), searched unless the caller knows it already."""
     if is_perfect_induced(g, mask):
-        return _certify(g, mask, 0, "perfect-whole", within=mask, omega=omega)
-    res = _divide_support(g, mask, (1,) * g.n)
+        d = _certify(g, mask, 0, "perfect-whole", within=mask, omega=omega)
+        return d, d.omega
+    omega = _max_clique_size(g.adj, mask) if omega is None else omega
+    res = _divide_support(g, mask, None, omega)
     if res is None:
-        return None
+        return None, omega
     a, b, strategy, pivot = res
-    return _certify(g, a, b, strategy, pivot, within=mask, omega=omega)
+    return _certify(g, a, b, strategy, pivot, within=mask, omega=omega), omega
 
 
 def divide_weighted(g: Graph, w) -> Division | None:
@@ -118,21 +121,23 @@ def divide_weighted(g: Graph, w) -> Division | None:
     support = mask_of(v for v in range(g.n) if w[v] > 0)
     if not support:
         raise ValueError("weights must not be identically zero")
-    res = _divide_support(g, support, w)
+    top = _max_clique_size(g.adj, g.vertex_mask, w)  # zero weights add nothing
+    res = _divide_support(g, support, w, top)
     if res is None:
         return None
     s, t, strategy, pivot = res
-    return _certify(g, s, t | (g.vertex_mask & ~support), strategy, pivot, w)
+    return _certify(g, s, t | (g.vertex_mask & ~support), strategy, pivot, w, omega_w=top)
 
 
-def _divide_support(g, u_mask, w):
-    """Divide H = G[u_mask] under all-positive weights; returns
-    (s, t, strategy, pivot) partitioning u_mask, or None when none exists."""
+def _divide_support(g, u_mask, w, top):
+    """Divide H = G[u_mask] under all-positive weights w (unit weights when
+    None), top being H's max clique weight; returns (s, t, strategy, pivot)
+    partitioning u_mask, or None when none exists."""
     for v in bits(u_mask):
         m_h = u_mask & ~g.adj[v] & ~(1 << v)
         if is_perfect_induced(g, m_h):
             return m_h | 1 << v, u_mask & g.adj[v], "perfect-non-neighborhood", v
-    s = _transversal(g, u_mask, w, _max_weight_value(g.adj, w, u_mask), 0, 0)
+    s = _transversal(g, u_mask, w, top, 0, 0)
     return None if s is None else (s, u_mask & ~s, "exhaustive", None)
 
 
@@ -140,13 +145,14 @@ def _transversal(g, u_mask, w, top, s, banned):
     """A perfect s' within u_mask, containing s and missing banned, that meets
     every clique of weight top (the max over u_mask), or None.
 
-    The first maximum-weight clique left in u_mask - s must be met, so branch
-    on its unbanned vertices in ascending order, keeping a branch only while
-    s stays perfect, and ban each vertex once its branch fails.  Perfection
-    is hereditary, so every minimal such s' lies below some branch: a None
-    proves that G[u_mask] has no division under w."""
-    weight, clique = _max_weight_clique(g.adj, w, u_mask & ~s)
-    if weight < top:
+    The lexicographically first clique of weight top left in u_mask - s,
+    one witness search, must be met, so branch on its unbanned vertices in
+    ascending order, keeping a branch only while s stays perfect, and ban
+    each vertex once its branch fails.  Perfection is hereditary, so every
+    minimal such s' lies below some branch: a None proves that G[u_mask]
+    has no division under w."""
+    clique = _max_clique(g.adj, u_mask & ~s, top, w)
+    if clique is None:
         return s
     for v in bits(clique & ~banned):
         bit = 1 << v
@@ -275,21 +281,23 @@ def color_by_division(g: Graph) -> ColoringCertificate:
     next_color = 0
     fallback = False
     omega = 0  # omega(G), from the first layer
-    while remaining:  # the last layer's certificate measured omega of the residual
-        d = _divide_mask(g, remaining, d.omega_b if layers else None)
+    top = None  # omega of the residual: the last layer's certificate measured it
+    while remaining:
+        d, top = _divide_mask(g, remaining, top)
         fallback = d is None
         a, b, strategy = (remaining, 0, "fallback-exact") if fallback else (d.a, d.b, d.strategy)
-        layer_colors, omega_a = _exact_coloring(g.adj, a, None if fallback or d.b else d.omega)
+        layer_colors, omega_a = _exact_coloring(g.adj, a, top if a == remaining else None)
         k = max(layer_colors) + 1
         if not fallback and k != omega_a:
             raise InvariantError("perfect layer did not colour with omega colours")
         if not layers:
-            omega = omega_a if fallback else d.omega
+            omega = top
         for v in bits(a):
             colors[v] = next_color + layer_colors[v]
         layers.append(ColorLayer(a, b, strategy, tuple(range(next_color, next_color + k))))
         next_color += k
         remaining = b
+        top = None if fallback else d.omega_b
     return ColoringCertificate(
         colors=tuple(colors),
         palette=next_color,

@@ -29,15 +29,16 @@ def enumerate_nonisomorphic(n: int) -> list[Graph]:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n > ENUMERATION_CAP:
         raise CapacityError("enumerate_nonisomorphic", n, ENUMERATION_CAP)
-    return list(_level(n))
+    return [g for g, _ in _level(n)]
 
 
 @cache
-def _level(k: int) -> tuple[Graph, ...]:
+def _level(k: int) -> tuple[tuple[Graph, list[tuple[int, ...]]], ...]:
     """Level k: extends each representative on k-1 vertices by one vertex
     over neighbourhoods in ascending order, and keeps first representatives
-    by canonical form.  Any k-vertex graph arises this way from deleting its
-    last vertex's image, so the sweep is exhaustive.
+    by canonical form, each with the automorphisms _label found for it.  Any
+    k-vertex graph arises this way from deleting its last vertex's image, so
+    the sweep is exhaustive.
 
     Orbit pruning labels only the neighbourhoods _least_in_orbit returns.
     Each generator σ is an automorphism of the parent, so child(nb) is
@@ -49,28 +50,28 @@ def _level(k: int) -> tuple[Graph, ...]:
     raw rows; only kept ones become a validated Graph.
     """
     if k == 0:
-        return (Graph.empty(0),)
+        return ((Graph.empty(0), []),)
     top = 1 << (k - 1)
     seen: set[bytes] = set()
-    level: list[Graph] = []
-    for g in _level(k - 1):
+    level = []
+    for g, automorphisms in _level(k - 1):
         adj = g.adj
-        for nb in _least_in_orbit(adj):
+        for nb in _least_in_orbit(adj, automorphisms):
             rows = [row | top if nb >> v & 1 else row for v, row in enumerate(adj)]
             rows.append(nb)
-            key = _label(rows)[0]
+            key, found = _label(rows)
             if key not in seen:
                 seen.add(key)
-                level.append(Graph(k, tuple(rows)))
+                level.append((Graph(k, tuple(rows)), found))
     return tuple(level)
 
 
-def _least_in_orbit(adj) -> list[int] | range:
+def _least_in_orbit(adj, automorphisms) -> list[int] | range:
     """The new-vertex neighbourhoods over the rows adj, ascending, that are
-    least in their orbit under the automorphisms _label finds and the twin
-    swaps (u v), which _label's search never reports."""
+    least in their orbit under the automorphisms _label found for adj and
+    the twin swaps (u v), which _label's search never reports."""
     m = len(adj)
-    gens = _label(adj)[1]
+    gens = list(automorphisms)  # the level cache keeps the caller's list
     for v in range(m):
         for u in range(v):
             if _are_twins(adj, u, v):

@@ -4,9 +4,9 @@ Three fixed vertex caps, sized for the verification corpora (graphs up to
 8 vertices, line graphs up to 15), with no per-call override: CANONICAL_CAP
 for canonical labelling and isomorphism, ENUMERATION_CAP for enumeration,
 and SEARCH_CAP for the odd-hole, exact-colouring and submask-table searches
-(a table has at most 65,536 entries).  The clique-size, clique-witness,
-independence and weighted-clique searches are uncapped, and so are
-`classify` and `oracle omega|alpha`.
+(a table has at most 65,536 entries).  The clique value and witness
+searches, unit-weight or weighted, and with them the independence number,
+are uncapped, and so are `classify` and `oracle omega|alpha`.
 """
 
 CANONICAL_CAP = 10

@@ -1,17 +1,20 @@
 """Exact NP-hard oracles sized for small verification corpora.
 
-Colour classes are vertex masks throughout.  The maximum-clique search
-bounds each branch by the number of greedy colour classes of its
-candidates, the clique witness search prunes by the same count, and the
-exact colouring is a clique-seeded saturation-degree (DSATUR)
-branch-and-bound over a list of class masks.  Weighted clique runs its own
-branch-and-bound on weight sums, and odd holes are found by extending
-induced paths, each hole once in one orientation, with anchors and entries
-that cannot close a hole pruned.  Every witness is deterministic: ties
-break toward the lexicographically smallest vertex set.
+Colour classes are vertex masks throughout.  One value search and one
+witness search serve every clique question, under unit weights or
+nonnegative vertex weights alike: both bound a branch by the heaviest
+weights of its greedy colour classes, summed, which is the class count
+under unit weights, where no weight is read.  The exact colouring is a
+clique-seeded saturation-degree (DSATUR) branch-and-bound over a list of
+class masks, and odd holes are found by extending induced paths, each
+hole once in one orientation, with anchors and entries that cannot close
+a hole pruned.  Every witness is deterministic: ties break toward the
+lexicographically smallest vertex set.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from .graph import Graph, _co_rows, bits
 from .limits import SEARCH_CAP, CapacityError, InvariantError
@@ -33,18 +36,23 @@ def _color_classes(adj, cand):
     return classes
 
 
-def _max_clique_size(adj, cand):
-    """Largest clique within cand.
+def _max_clique_size(adj, cand, w=None):
+    """Largest weight of a clique within cand under the nonnegative weights
+    w, unit weights when w is None (the empty clique weighs 0).
 
-    The best size starts at the greedy clique that keeps taking the highest
+    The best starts at the greedy clique that keeps taking the highest
     candidate.  Each node colours its candidates greedily and branches from
-    the last class down, highest vertex first, while the clique's size plus
-    the number of the vertex's class can still beat the best."""
+    the last class down, highest vertex first, while the clique's weight plus
+    the bound of the vertex's class can still beat the best.  A clique meets
+    each class at most once, so classes 1..k bound it by the sum of their
+    heaviest weights, which is k under unit weights; weights are read only
+    when given."""
     best = 0
     rest = cand
     while rest:
-        best += 1
-        rest &= adj[rest.bit_length() - 1]
+        v = rest.bit_length() - 1
+        best += 1 if w is None else w[v]
+        rest &= adj[v]
 
     def expand(size, cand):
         nonlocal best
@@ -53,19 +61,61 @@ def _max_clique_size(adj, cand):
                 best = size
             return
         classes = _color_classes(adj, cand)
+        if w is not None:
+            bound = list(accumulate((max(w[v] for v in bits(cls)) for cls in classes), initial=0))
         for k in range(len(classes), 0, -1):
             cls = classes[k - 1]
+            reach = size + (k if w is None else bound[k])
             while cls:
-                if size + k <= best:
+                if reach <= best:
                     return
                 v = cls.bit_length() - 1
                 cls ^= 1 << v
-                expand(size + 1, cand & adj[v])
+                expand(size + (1 if w is None else w[v]), cand & adj[v])
                 cand &= ~(1 << v)
 
     expand(0, cand)
     del expand  # a recursive closure is a reference cycle
     return best
+
+
+def _max_clique(adj, mask, need, w=None):
+    """The lexicographically first clique within mask whose weight under w
+    (unit weights when None) reaches need, or None.
+
+    Tries candidates in ascending order, each narrowing the rest to its later
+    neighbours, and stops as soon as the weight reaches need, so the witness
+    takes zero-weight vertices only ahead of the last one it needs.  A branch
+    is pruned when its candidates weigh less than the clique still needs or
+    when its colour classes do, each counting its heaviest weight (under
+    unit weights, once the clique needs three or more vertices)."""
+
+    def first(chosen, cand, need):
+        if need <= 0:
+            return chosen
+        if w is None:
+            avail = cand.bit_count()
+            if avail < need or need > 2 and len(_color_classes(adj, cand)) < need:
+                return None
+        else:
+            avail = sum(w[v] for v in bits(cand))
+            if avail < need or sum(max(w[v] for v in bits(cls))
+                                   for cls in _color_classes(adj, cand)) < need:
+                return None
+        while avail >= need:
+            bit = cand & -cand
+            cand ^= bit
+            v = bit.bit_length() - 1
+            step = 1 if w is None else w[v]
+            avail -= step
+            found = first(chosen | bit, cand & adj[v], need - step)
+            if found is not None:
+                return found
+        return None
+
+    found = first(0, mask, need)
+    del first
+    return found
 
 
 def clique_number(g: Graph) -> int:
@@ -74,35 +124,7 @@ def clique_number(g: Graph) -> int:
 
 def max_clique(g: Graph) -> int:
     """Lexicographically smallest maximum clique, as a bitmask."""
-    return _max_clique(g.adj, g.vertex_mask)
-
-
-def _max_clique(adj, mask, size=None):
-    """The lexicographically first clique of maximum size within mask.
-
-    One size search (unless size is given), then a search that tries
-    candidates in ascending order, each narrowing the rest to its later
-    neighbours.  A branch is pruned when fewer vertices remain than the
-    clique still needs or, once it needs three or more, fewer classes."""
-
-    def first(chosen, cand, need):
-        if not need:
-            return chosen
-        if cand.bit_count() < need or need > 2 and len(_color_classes(adj, cand)) < need:
-            return None
-        while cand.bit_count() >= need:
-            bit = cand & -cand
-            cand ^= bit
-            found = first(chosen | bit, cand & adj[bit.bit_length() - 1], need - 1)
-            if found is not None:
-                return found
-        return None
-
-    found = first(0, mask, size or _max_clique_size(adj, mask))
-    del first
-    if found is None:
-        raise InvariantError(f"no clique of size {size} within the mask")
-    return found
+    return _max_clique(g.adj, g.vertex_mask, clique_number(g))
 
 
 def independence_number(g: Graph) -> int:
@@ -120,59 +142,13 @@ def _check_weights(g, weights):
     return weights
 
 
-def _max_weight_value(adj, weights, cand):
-    """Largest total weight of a clique within cand (empty clique counts)."""
-    order = sorted(bits(cand), key=lambda v: (-weights[v], v))
-    best = 0
-
-    def expand(wsum, cand, rest_sum):
-        nonlocal best
-        if wsum > best:
-            best = wsum
-        if wsum + rest_sum <= best:
-            return
-        for v in order:
-            if not cand >> v & 1:
-                continue
-            if wsum + rest_sum <= best:
-                return
-            expand(wsum + weights[v], cand & adj[v], _wsum(weights, cand & adj[v]))
-            cand &= ~(1 << v)
-            rest_sum -= weights[v]
-
-    expand(0, cand, _wsum(weights, cand))
-    del expand
-    return best
-
-
-def _wsum(weights, mask):
-    return sum(weights[v] for v in bits(mask))
-
-
 def max_weight_clique(g: Graph, weights) -> tuple[int, int]:
-    """(best total weight, witness bitmask); witness is lexicographically
-    smallest among optima, which may include zero-weight vertices."""
-    return _max_weight_clique(g.adj, _check_weights(g, weights), g.vertex_mask)
-
-
-def _max_weight_clique(adj, weights, cand):
-    """max_weight_clique within the mask cand: the best weight, then the
-    witness grown one ascending vertex at a time while the rest can still
-    make up the remaining weight."""
-    target = _max_weight_value(adj, weights, cand)
-    chosen = 0
-    remaining = target
-    while remaining > 0:
-        for v in bits(cand):
-            rest = cand & adj[v]
-            if weights[v] + _max_weight_value(adj, weights, rest) == remaining:
-                chosen |= 1 << v
-                cand = rest
-                remaining -= weights[v]
-                break
-        else:  # pragma: no cover - target is always attainable
-            raise AssertionError("weighted clique witness reconstruction failed")
-    return target, chosen
+    """(best total weight, witness bitmask): one value search, then the
+    lexicographically first clique reaching that weight, which may include
+    zero-weight vertices; both prune by weighted colour classes."""
+    w = _check_weights(g, weights)
+    value = _max_clique_size(g.adj, g.vertex_mask, w)
+    return value, _max_clique(g.adj, g.vertex_mask, value, w)
 
 
 # -- colouring --------------------------------------------------------
@@ -227,7 +203,11 @@ def _exact_coloring(adj, mask, omega=None):
             solve(uncolored ^ bit)
             classes.pop()
 
+    if omega is None:
+        omega = _max_clique_size(adj, mask)
     seed = _max_clique(adj, mask, omega)
+    if seed is None:
+        raise InvariantError(f"no clique of size {omega} within the mask")
     classes = [1 << v for v in bits(seed)]
     best = [0] * (mask.bit_count() + 1)  # more classes than any colouring
     solve(mask & ~seed)

@@ -48,6 +48,15 @@ def max_weight_clique(g: Graph, w) -> int:
     return best
 
 
+def max_weight_clique_witness(g: Graph, w) -> tuple[int, ...]:
+    """The lexicographically least clique of maximum total weight, as a
+    sorted tuple (the empty clique when every weight is zero)."""
+    cliques = [sub for k in range(g.n + 1) for sub in combinations(range(g.n), k)
+               if all(g.has_edge(u, v) for u, v in combinations(sub, 2))]
+    best = max(sum(w[v] for v in sub) for sub in cliques)
+    return min(sub for sub in cliques if sum(w[v] for v in sub) == best)
+
+
 def omega_table(g: Graph) -> list[int]:
     """omega of every induced submask, by deletion/contraction recursion."""
     table = [0] * (1 << g.n)

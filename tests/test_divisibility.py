@@ -313,7 +313,7 @@ def test_clebsch_goldens_at_the_table_cap(monkeypatch):
     # no pivot, and the exhaustive search proves there is no division
     # without building the tables that exact divisibility needs
     built = count_omega_tables(monkeypatch)
-    assert divisibility._divide_support(g, g.vertex_mask, (1,) * g.n) is None
+    assert divisibility._divide_support(g, g.vertex_mask, (1,) * g.n, 2) is None
     assert perfect_division(g) is None and built == []
     cert = color_by_division(g)
     assert cert.fallback and cert.palette == 4
@@ -435,16 +435,17 @@ def test_coloring_falls_back_when_division_is_impossible():
 
 
 def test_coloring_takes_omega_from_the_first_certificate(monkeypatch):
-    # omega(G) comes from the first layer: its certificate, or the seed clique
-    # of the exact colouring when G has no division.  Each certificate hands
-    # omega of the residual to the next layer, a perfect side's colouring
-    # reports its own, and a perfect-whole layer's colouring takes omega from
-    # its certificate, so no mask is searched twice.
+    # omega(G) comes from the first layer: its certificate, or the search
+    # that set the exhaustive division's top when G has no division, which
+    # then seeds the fallback colouring.  Each certificate hands omega of the
+    # residual to the next layer, a perfect side's colouring reports its own,
+    # and a perfect-whole layer's colouring takes omega from its certificate,
+    # so no mask is searched twice.
     searched = []
 
-    def counted(adj, cand):
+    def counted(adj, cand, w=None):
         searched.append(cand)
-        return _max_clique_size(adj, cand)
+        return _max_clique_size(adj, cand, w)
 
     monkeypatch.setattr(oracles, "_max_clique_size", counted)
     monkeypatch.setattr(divisibility, "_max_clique_size", counted)
@@ -476,7 +477,8 @@ def test_division_of_a_mask_matches_the_induced_copy(exhaustive_only, gm):
         assert (got is not None) == (h.n > 0 and bruteforce.has_division(h))
         return
     want = perfect_division(h)
-    got = _divide_mask(g, mask)
+    got, omega = _divide_mask(g, mask)
+    assert omega == bruteforce.omega(h)
     assert (got is None) == (want is None)
     if want is not None:
         assert got.a == mask_of(vmap[i] for i in bits(want.a))

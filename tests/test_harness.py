@@ -88,7 +88,7 @@ def symmetric_parents(draw):
 def test_orbit_pruning_skips_only_isomorphic_children(parent):
     # the least neighbourhood of each brute-force orbit is labelled, and every
     # skipped one lies in the orbit of a smaller one, with an isomorphic child
-    labelled = set(harness._least_in_orbit(parent.adj))
+    labelled = set(harness._least_in_orbit(parent.adj, harness._label(parent.adj)[1]))
     group = bruteforce.automorphisms(parent)
     keys: dict[int, tuple] = {}
     for nb in range(1 << parent.n):
@@ -120,18 +120,19 @@ def test_pruned_levels_match_an_unpruned_sweep():
 
 def test_enumeration_labels_only_unpruned_candidates(monkeypatch):
     # a deterministic guard on orbit pruning: building levels 1-7 labels
-    # 5,968 row sets (5,759 candidates and the 209 parents on levels 0-6),
-    # where the unpruned sweep labels 11,291 candidates; only kept graphs
-    # become a Graph, and a second call finds every level built
+    # the 5,759 candidates and no parent again, since each level keeps the
+    # automorphisms found when its graphs were labelled; the unpruned sweep
+    # labels 11,291 candidates.  Only kept graphs become a Graph, and a
+    # second call finds every level built
     harness._level.cache_clear()
     calls, built = [], []
     label, validate = harness._label, Graph.__post_init__
     monkeypatch.setattr(harness, "_label", lambda adj: calls.append(adj) or label(adj))
     monkeypatch.setattr(Graph, "__post_init__", lambda g: built.append(g) or validate(g))
     enumerate_nonisomorphic(7)
-    assert len(calls) == 5968
+    assert len(calls) == 5759
     assert len(built) == 1 + len(graphs_up_to(7)) == 1253
-    assert len(calls) == 5968
+    assert len(calls) == 5759
 
 
 def test_graphs_up_to_is_cumulative():

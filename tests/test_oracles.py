@@ -1,4 +1,5 @@
 import hashlib
+import random
 from itertools import combinations
 
 import pytest
@@ -60,7 +61,8 @@ def test_clique_search_on_a_mask_matches_brute_force(gm):
     g, mask = gm
     h, vmap = g.induced(mask)
     assert _max_clique_size(g.adj, mask) == bruteforce.omega(h)
-    assert _max_clique(g.adj, mask) == mask_of(vmap[i] for i in bruteforce.max_clique(h))
+    witness = _max_clique(g.adj, mask, bruteforce.omega(h))
+    assert witness == mask_of(vmap[i] for i in bruteforce.max_clique(h))
 
 
 def test_max_clique_witness_search_is_bounded_by_colour_classes():
@@ -68,7 +70,9 @@ def test_max_clique_witness_search_is_bounded_by_colour_classes():
     # through the parts reaches 13 vertices, which their 12 colour classes
     # show at once; with the popcount bound alone, the ascending search
     # walks the cliques through the parts, about 4**12 of them, before it
-    # reaches the K13.  The row reads count the search's work.
+    # reaches the K13, and a bound on weight sums alone is as blind.  The
+    # row reads count the work of each value and witness search, unweighted
+    # and under unit weights given as weights.
     parts = Graph.from_edges(48, [(u, v) for u, v in combinations(range(48), 2) if u // 4 != v // 4])
     g = parts.disjoint_union(Graph.complete(13))
     k13 = mask_of(range(48, 61))
@@ -79,10 +83,16 @@ def test_max_clique_witness_search_is_bounded_by_colour_classes():
         def __getitem__(self, v):
             CountedRows.reads += 1
             if CountedRows.reads > 2500:
-                raise AssertionError("witness search read more than 2500 rows")
+                raise AssertionError("clique search read more than 2500 rows")
             return tuple.__getitem__(self, v)
 
-    assert _max_clique(CountedRows(g.adj), g.vertex_mask) == k13
+    rows = CountedRows(g.adj)
+    counted = Graph(g.n, rows)  # validation reads rows too; each search is counted afresh
+    searches = [lambda: _max_clique(rows, g.vertex_mask, _max_clique_size(rows, g.vertex_mask)),
+                lambda: max_weight_clique(counted, (1,) * g.n)]
+    for search, want in zip(searches, [k13, (13, k13)]):
+        CountedRows.reads = 0
+        assert search() == want
     assert max_clique(g) == k13
 
 
@@ -115,9 +125,19 @@ def test_max_weight_clique_matches_brute_force(gw):
     g, w = gw
     value, witness = max_weight_clique(g, w)
     assert value == bruteforce.max_weight_clique(g, w)
-    vs = list(bits(witness))
-    assert all(g.has_edge(u, v) for u, v in combinations(vs, 2))
-    assert sum(w[v] for v in vs) == value
+    assert tuple(bits(witness)) == bruteforce.max_weight_clique_witness(g, w)
+
+
+def test_max_weight_witness_is_lex_least_under_skewed_weights():
+    # weights from {0, 1, 1000}: zero-weight vertices tie with the empty
+    # choice, and one heavy vertex outweighs any clique of light ones
+    for seed in range(150):
+        rng = random.Random(seed)
+        g = random_gnp(rng.randint(1, 9), rng.choice([0.3, 0.5, 0.8]), seed)
+        w = [rng.choice((0, 1, 1000)) for _ in range(g.n)]
+        value, witness = max_weight_clique(g, w)
+        assert value == bruteforce.max_weight_clique(g, w)
+        assert tuple(bits(witness)) == bruteforce.max_weight_clique_witness(g, w)
 
 
 @given(graphs(min_n=1, max_n=6))
