@@ -43,14 +43,10 @@ def find_homogeneous_set(g: Graph) -> int | None:
     Closes each vertex pair under mixed-vertex addition; the closure is the
     least homogeneous candidate containing that pair.
     """
-    return _homogeneous_set(g.adj, g.vertex_mask)
-
-
-def _homogeneous_set(adj, mask):
-    """find_homogeneous_set of the subgraph induced on mask, as a mask."""
+    adj, mask = g.adj, g.vertex_mask
     best: tuple[int, tuple[int, ...], int] | None = None
-    limit = mask.bit_count() - 1  # closures only grow, so one above limit cannot win
-    for u, v in itertools.combinations(bits(mask), 2):
+    limit = g.n - 1  # closures only grow, so one above limit cannot win
+    for u, v in itertools.combinations(range(g.n), 2):
         s = 1 << u | 1 << v
         while s.bit_count() <= limit and (m := _mixed(adj, mask, s)):
             s |= m

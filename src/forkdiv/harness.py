@@ -106,10 +106,7 @@ def _least_in_orbit(adj, automorphisms) -> list[int] | range:
 def graphs_up_to(n: int) -> list[Graph]:
     if n > ENUMERATION_CAP:  # refuse as the first level over the cap would, before any work
         raise CapacityError("enumerate_nonisomorphic", ENUMERATION_CAP + 1, ENUMERATION_CAP)
-    out: list[Graph] = []
-    for k in range(1, n + 1):
-        out.extend(enumerate_nonisomorphic(k))
-    return out
+    return [g for k in range(1, n + 1) for g in enumerate_nonisomorphic(k)]
 
 
 def random_gnp(n: int, p: float, seed: int) -> Graph:
@@ -130,7 +127,7 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-# -- memoised per-graph facts (corpus runs revisit graphs across checks) --
+# -- memoised per-graph facts, shared by the checks on one graph --
 
 
 @lru_cache(maxsize=None)
@@ -266,7 +263,7 @@ def _t9(g: Graph) -> Outcome:
         lg, _, _ = line_graph_division(g)  # certified by the oracles
     except InvariantError as exc:
         return Outcome(True, failure={"certificate": str(exc)})
-    if not _pd_exact(lg):
+    if not is_perfectly_divisible_exact(lg):  # not the graph under check, so no memo
         return Outcome(True, failure={"line_graph_not_perfectly_divisible": True})
     return Outcome(True)
 
@@ -375,9 +372,11 @@ CHECKS: dict[str, TheoremCheck] = {
     ]
 }
 
+_MEMOS = (_free, _homogeneous, _pd_exact)  # bound here, so stubbing a name keeps the clearing
+
 
 class TheoremReport:
-    """One check's tallies over one corpus; run_check fills it in."""
+    """One check's tallies over one corpus; run_check or run_all fills it in."""
 
     def __init__(self, check_id: str, claim: str, corpus: str):
         self.check_id = check_id
@@ -412,37 +411,41 @@ class TheoremReport:
 
 
 def run_check(check: TheoremCheck, corpus, corpus_desc: str) -> TheoremReport:
-    """Evaluate one check over a corpus; capacity misses are recorded, not
-    fatal, and counterexamples come back sorted by graph6 key."""
-    report = TheoremReport(check.check_id, check.claim, corpus_desc)
-    for tag in check.tag_names:
-        report.tag_counts[tag] = 0
-    start = time.perf_counter()
-    for g in corpus:
-        report.graphs_scanned += 1
-        try:
-            out = check.evaluate(g)
-        except CapacityError as exc:
-            report.skipped.append(
-                {"graph6": formats.emit_graph6(g), "reason": str(exc)}
-            )
-            continue
-        if not out.matched:
-            continue
-        report.hypothesis_matches += 1
-        for tag in out.tags:
-            report.tag_counts[tag] = report.tag_counts.get(tag, 0) + 1
-        if out.failure is not None:
-            report.counterexamples.append(
-                {"graph6": formats.emit_graph6(g), "detail": out.failure}
-            )
-    report.counterexamples.sort(key=lambda c: c["graph6"])
-    report.skipped.sort(key=lambda c: c["graph6"])
-    report.wall_time_s = time.perf_counter() - start
-    return report
+    """Evaluate one check over a corpus, as run_all does."""
+    return _run([check], corpus, corpus_desc)[0]
 
 
 def run_all(corpus, corpus_desc: str, check_ids=None) -> list[TheoremReport]:
-    ids = list(check_ids) if check_ids else list(CHECKS)
-    corpus = list(corpus)
-    return [run_check(CHECKS[i], corpus, corpus_desc) for i in ids]
+    return _run([CHECKS[i] for i in check_ids or CHECKS], corpus, corpus_desc)
+
+
+def _run(checks, corpus, corpus_desc: str) -> list[TheoremReport]:
+    """Evaluate every check on a graph, then empty the memos before the next;
+    capacity misses become skips, and both lists come back sorted by graph6."""
+    reports = [TheoremReport(c.check_id, c.claim, corpus_desc) for c in checks]
+    for g in corpus:
+        try:
+            for check, report in zip(checks, reports):
+                start = time.perf_counter()
+                report.graphs_scanned += 1
+                try:
+                    out = check.evaluate(g)
+                except CapacityError as exc:
+                    report.skipped.append({"graph6": formats.emit_graph6(g), "reason": str(exc)})
+                    out = Outcome(False)
+                if out.matched:
+                    report.hypothesis_matches += 1
+                    for tag in out.tags:
+                        report.tag_counts[tag] = report.tag_counts.get(tag, 0) + 1
+                    if out.failure is not None:
+                        report.counterexamples.append(
+                            {"graph6": formats.emit_graph6(g), "detail": out.failure})
+                report.wall_time_s += time.perf_counter() - start
+        finally:  # so the memos never hold more than one graph's facts
+            for memo in _MEMOS:
+                memo.cache_clear()
+    for check, report in zip(checks, reports):
+        report.tag_counts = dict.fromkeys(check.tag_names, 0) | report.tag_counts
+        report.counterexamples.sort(key=lambda c: c["graph6"])
+        report.skipped.sort(key=lambda c: c["graph6"])
+    return reports

@@ -1,7 +1,7 @@
 """Search caps and the error types shared across the package.
 
 Three fixed vertex caps, sized for the verification corpora (graphs up to
-8 vertices, line graphs up to 15), with no per-call override: CANONICAL_CAP
+9 vertices, line graphs up to 15), with no per-call override: CANONICAL_CAP
 for canonical labelling and isomorphism, ENUMERATION_CAP for enumeration,
 and SEARCH_CAP for the odd-hole, exact-colouring and submask-table searches
 (a table has at most 65,536 entries).  The clique value and witness
@@ -10,7 +10,7 @@ are uncapped, and so are `classify` and `oracle omega|alpha`.
 """
 
 CANONICAL_CAP = 10
-ENUMERATION_CAP = 8
+ENUMERATION_CAP = 9
 SEARCH_CAP = 16
 
 

@@ -2,14 +2,9 @@ import pytest
 from hypothesis import given
 
 import bruteforce
-from forkdiv.decomposition import (
-    _homogeneous_set,
-    find_homogeneous_set,
-    is_homogeneous_set,
-    mixed_vertices,
-)
-from forkdiv.graph import Graph, bits, mask_of
-from strategies import graphs, graphs_with_masks
+from forkdiv.decomposition import find_homogeneous_set, is_homogeneous_set, mixed_vertices
+from forkdiv.graph import Graph, mask_of
+from strategies import graphs
 
 PAW = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
 
@@ -70,12 +65,3 @@ def test_homogeneity_is_complement_invariant(g):
     if s is not None:
         assert is_homogeneous_set(g.complement(), s)
         assert is_homogeneous_set(g, t)
-
-
-@given(graphs_with_masks())
-def test_homogeneous_set_on_a_mask_matches_the_induced_copy(gm):
-    g, mask = gm
-    h, vmap = g.induced(mask)
-    x = find_homogeneous_set(h)
-    want = None if x is None else mask_of(vmap[i] for i in bits(x))
-    assert _homogeneous_set(g.adj, mask) == want

@@ -24,7 +24,7 @@ from forkdiv.harness import (
 )
 from forkdiv.limits import CapacityError, InvariantError
 from forkdiv.oracles import max_weight_clique
-from forkdiv.patterns import _SQUARE, CLASS_BOUNDS, claw_center, pattern
+from forkdiv.patterns import _SQUARE, CLASS_BOUNDS, claw_center, find_induced, pattern
 from strategies import graphs
 
 
@@ -56,7 +56,7 @@ def test_enumeration_output_is_pinned():
 
 def test_enumeration_capacity():
     with pytest.raises(CapacityError):
-        enumerate_nonisomorphic(9)
+        enumerate_nonisomorphic(10)
 
 
 def _child(p, nb):
@@ -142,8 +142,8 @@ def test_graphs_up_to_is_cumulative():
 def test_graphs_up_to_refuses_before_building_a_level():
     harness._level.cache_clear()
     with pytest.raises(CapacityError) as exc:
-        graphs_up_to(9)
-    assert str(exc.value) == "enumerate_nonisomorphic: graph has 9 vertices, cap is 8"
+        graphs_up_to(10)
+    assert str(exc.value) == "enumerate_nonisomorphic: graph has 10 vertices, cap is 9"
     assert harness._level.cache_info().currsize == 0
 
 
@@ -287,16 +287,19 @@ def test_lazy_chi_audit_matches_an_eager_audit(g, data):
     assert out.failure == _eager_chi_audit_failure(g, chi, om)
 
 
-def _count_searches(monkeypatch, check_ids=None):
-    """find_induced calls over every graph on 1..7 vertices, memos cold."""
-    for memo in (harness._free, harness._homogeneous, harness._pd_exact):
-        memo.cache_clear()
+def _count_searches(monkeypatch, check_ids=None, n=7):
+    """find_induced calls over every graph on 1..n vertices."""
     calls = []
     real = harness.find_induced
     monkeypatch.setattr(harness, "find_induced", lambda *args: calls.append(args) or real(*args))
-    run_all(graphs_up_to(7), "all graphs on 1..7 vertices", check_ids)
+    run_all(graphs_up_to(n), f"all graphs on 1..{n} vertices", check_ids)
     monkeypatch.undo()
     return calls
+
+
+def _memo_sizes():
+    memos = (harness._free, harness._homogeneous, harness._pd_exact)
+    return [memo.cache_info().currsize for memo in memos]
 
 
 def test_verify_searches_patterns_only_when_an_outcome_depends_on_them(monkeypatch):
@@ -312,13 +315,29 @@ def test_verify_searches_patterns_only_when_an_outcome_depends_on_them(monkeypat
     assert {name for _, _, name in calls} == {"fork", "K3"}
 
 
+def test_runs_leave_the_memos_empty_and_a_rerun_searches_again(monkeypatch):
+    # the memos hold one graph's facts at a time, so nothing outlives a run
+    first = _count_searches(monkeypatch, n=6)
+    assert _memo_sizes() == [0, 0, 0]
+    assert len(_count_searches(monkeypatch, n=6)) == len(first) > 0
+
+
+def test_a_run_that_raises_still_empties_the_memos(monkeypatch):
+    def broken(g):
+        raise InvariantError("division colouring failed its re-check")
+
+    monkeypatch.setattr(harness, "color_by_division", broken)
+    with pytest.raises(InvariantError, match="re-check"):
+        run_all(graphs_up_to(4), "tiny")
+    assert _memo_sizes() == [0, 0, 0]
+
+
 def test_oracles_and_labelling_leave_no_reference_cycles():
     # recursive closures refer to themselves through their cells, so each
     # call would leave garbage that only the cyclic collector frees
+    fork = pattern("fork")
     batch = [g for g in (random_gnp(16, 0.8, seed) for seed in range(60))
-             if harness._free(g, "fork")]
-    for memo in (harness._free, harness._homogeneous, harness._pd_exact):
-        memo.cache_clear()
+             if find_induced(g, fork) is None]
     gc.collect()
     gc.disable()
     try:
@@ -401,7 +420,8 @@ def test_t8_failure_names_host_vertices(g, detail, monkeypatch):
 
 def test_t9_checks_every_line_graph_exactly(monkeypatch):
     sizes = []
-    monkeypatch.setattr(harness, "_pd_exact", lambda lg: sizes.append(lg.n) or True)
+    monkeypatch.setattr(harness, "is_perfectly_divisible_exact",
+                        lambda lg: sizes.append(lg.n) or True)
     report = run_check(CHECKS["T9"], graphs_up_to(6), "all graphs on 1..6 vertices")
     # K6 has 15 edges; every line graph is within the submask-table cap
     assert report.hypothesis_matches == len(sizes) == 142
