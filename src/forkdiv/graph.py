@@ -35,9 +35,9 @@ class Graph:
 
     __slots__ = ("n", "adj")
 
-    def __init__(self, n: int, adj: tuple[int, ...]):
+    def __init__(self, n: int, adj: tuple[int, ...] | list[int]):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "adj", tuple(adj))  # a list would stay mutable
         self.__post_init__()
 
     def __setattr__(self, name, value=None):

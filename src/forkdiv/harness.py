@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from . import formats
 from .decomposition import find_homogeneous_set
@@ -24,21 +24,22 @@ from .patterns import (_BINOMIAL, _SQUARE, CLASS_BOUNDS, _claw_triple, _iter_ind
 
 
 def enumerate_nonisomorphic(n: int) -> list[Graph]:
-    """All non-isomorphic graphs on exactly n vertices; _level builds each once."""
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
-    if n > ENUMERATION_CAP:
-        raise CapacityError("enumerate_nonisomorphic", n, ENUMERATION_CAP)
-    return [g for g, _ in _level(n)]
+    """All non-isomorphic graphs on exactly n vertices, in _sweep's order."""
+    return [g for g in _sweep(n) if g.n == n]
 
 
-@cache
-def _level(k: int) -> tuple[tuple[Graph, list[tuple[int, ...]]], ...]:
-    """Level k: extends each representative on k-1 vertices by one vertex
-    over neighbourhoods in ascending order, and keeps first representatives
-    by canonical form, each with the automorphisms _label found for it.  Any
+def graphs_up_to(n: int) -> list[Graph]:
+    """All non-isomorphic graphs on 1..n vertices, level by level."""
+    return [g for g in _sweep(n) if g.n >= 1]
+
+
+def _sweep(n: int):
+    """Yields the graphs of levels 0..n in order.  Level k extends each
+    representative on k-1 vertices by one vertex over neighbourhoods in
+    ascending order and keeps first representatives by canonical form; any
     k-vertex graph arises this way from deleting its last vertex's image, so
-    the sweep is exhaustive.
+    the sweep is exhaustive.  Only the parent level is held, as rows with
+    the automorphisms _label found, and the last level never is.
 
     Orbit pruning labels only the neighbourhoods _least_in_orbit returns.
     Each generator σ is an automorphism of the parent, so child(nb) is
@@ -49,29 +50,34 @@ def _level(k: int) -> tuple[tuple[Graph, list[tuple[int, ...]]], ...]:
     only how many neighbourhoods are skipped.  Candidates are labelled as
     raw rows; only kept ones become a validated Graph.
     """
-    if k == 0:
-        return ((Graph.empty(0), []),)
-    top = 1 << (k - 1)
-    seen: set[bytes] = set()
-    level = []
-    for g, automorphisms in _level(k - 1):
-        adj = g.adj
-        for nb in _least_in_orbit(adj, automorphisms):
-            rows = [row | top if nb >> v & 1 else row for v, row in enumerate(adj)]
-            rows.append(nb)
-            key, found = _label(rows)
-            if key not in seen:
-                seen.add(key)
-                level.append((Graph(k, tuple(rows)), found))
-    return tuple(level)
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    if n > ENUMERATION_CAP:
+        raise CapacityError("enumerate_nonisomorphic", n, ENUMERATION_CAP)
+    yield Graph.empty(0)
+    parents = [((), [])]
+    for k in range(1, n + 1):
+        top = 1 << (k - 1)
+        seen, level = set(), []
+        for adj, automorphisms in parents:
+            for nb in _least_in_orbit(adj, automorphisms):
+                rows = [row | top if nb >> v & 1 else row for v, row in enumerate(adj)]
+                rows.append(nb)
+                key, found = _label(rows)
+                if key not in seen:
+                    seen.add(key)
+                    child = Graph(k, rows)
+                    if k < n:
+                        level.append((child.adj, found))
+                    yield child
+        parents = level
 
 
-def _least_in_orbit(adj, automorphisms) -> list[int] | range:
-    """The new-vertex neighbourhoods over the rows adj, ascending, that are
-    least in their orbit under the automorphisms _label found for adj and
-    the twin swaps (u v), which _label's search never reports."""
+def _least_in_orbit(adj, gens) -> list[int] | range:
+    """The new-vertex neighbourhoods over the rows adj, ascending, least in
+    their orbit under gens (_label's automorphisms of adj, a fresh list this
+    call extends) and the twin swaps (u v), which _label never reports."""
     m = len(adj)
-    gens = list(automorphisms)  # the level cache keeps the caller's list
     for v in range(m):
         for u in range(v):
             if _are_twins(adj, u, v):
@@ -101,12 +107,6 @@ def _least_in_orbit(adj, automorphisms) -> list[int] | range:
                     skip[y] = 1
                     stack.append(y)
     return leaders
-
-
-def graphs_up_to(n: int) -> list[Graph]:
-    if n > ENUMERATION_CAP:  # refuse as the first level over the cap would, before any work
-        raise CapacityError("enumerate_nonisomorphic", ENUMERATION_CAP + 1, ENUMERATION_CAP)
-    return [g for k in range(1, n + 1) for g in enumerate_nonisomorphic(k)]
 
 
 def random_gnp(n: int, p: float, seed: int) -> Graph:

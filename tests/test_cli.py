@@ -260,24 +260,13 @@ def test_gen_all_matches_enumeration(capsys):
     assert len(lines) == 11
 
 
-def test_gen_all_negative_is_usage_error(capsys):
-    # in a fresh process, where only level 0 is cached
-    src = str(Path(forkdiv.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "forkdiv", "gen", "--all", "-1"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert "nonnegative" in proc.stderr
-    # and once level 4 is cached, which a negative index would reach
-    enumerate_nonisomorphic(4)
-    code = main(["gen", "--all", "-1"])
+@pytest.mark.parametrize("n,message", [("-1", "nonnegative"), ("10", "cap is 9")],
+                         ids=["negative", "over-cap"])
+def test_gen_all_out_of_range_is_usage_error(n, message, capsys):
+    code = main(["gen", "--all", n])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    assert "nonnegative" in err
+    assert message in err
 
 
 def test_gen_gnp_golden(capsys):

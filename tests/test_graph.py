@@ -79,6 +79,12 @@ def test_graph_is_immutable():
         with pytest.raises(AttributeError):
             delattr(g, attr)
     assert (g.n, g.adj) == (3, (0b010, 0b101, 0b010))
+    # rows given as a list come back as a tuple, detached from the list
+    rows = [0b010, 0b101, 0b010]
+    h = Graph(3, rows)
+    rows[0] = 0
+    assert h.adj == g.adj and type(h.adj) is tuple
+    assert h == g and hash(h) == hash(g)
 
 
 def test_graphs_are_equal_and_hash_by_n_and_adj_only():

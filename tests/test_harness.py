@@ -120,31 +120,50 @@ def test_pruned_levels_match_an_unpruned_sweep():
 
 def test_enumeration_labels_only_unpruned_candidates(monkeypatch):
     # a deterministic guard on orbit pruning: building levels 1-7 labels
-    # the 5,759 candidates and no parent again, since each level keeps the
-    # automorphisms found when its graphs were labelled; the unpruned sweep
-    # labels 11,291 candidates.  Only kept graphs become a Graph, and a
-    # second call finds every level built
-    harness._level.cache_clear()
+    # the 5,759 candidates and no parent again, since the sweep keeps the
+    # automorphisms found when each parent was labelled; the unpruned sweep
+    # labels 11,291 candidates.  Only kept graphs become a Graph, and since
+    # no level outlives a call, a second call labels the same 5,759 again
     calls, built = [], []
     label, validate = harness._label, Graph.__post_init__
     monkeypatch.setattr(harness, "_label", lambda adj: calls.append(adj) or label(adj))
     monkeypatch.setattr(Graph, "__post_init__", lambda g: built.append(g) or validate(g))
     enumerate_nonisomorphic(7)
     assert len(calls) == 5759
-    assert len(built) == 1 + len(graphs_up_to(7)) == 1253
+    assert len(built) == 1253  # the empty graph and the 1,252 on 1..7 vertices
+    calls.clear()
+    assert len(graphs_up_to(7)) == 1252
     assert len(calls) == 5759
 
 
 def test_graphs_up_to_is_cumulative():
     assert len(graphs_up_to(5)) == 1 + 2 + 4 + 11 + 34
+    assert graphs_up_to(0) == []
+    with pytest.raises(ValueError, match="nonnegative"):
+        graphs_up_to(-1)
 
 
-def test_graphs_up_to_refuses_before_building_a_level():
-    harness._level.cache_clear()
-    with pytest.raises(CapacityError) as exc:
-        graphs_up_to(10)
-    assert str(exc.value) == "enumerate_nonisomorphic: graph has 10 vertices, cap is 9"
-    assert harness._level.cache_info().currsize == 0
+def test_graphs_up_to_refuses_before_building_a_level(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "_label", lambda adj: calls.append(adj))
+    for enumerate_ in (graphs_up_to, enumerate_nonisomorphic):
+        for n in (10, 12):  # the message names the n asked for
+            with pytest.raises(CapacityError) as exc:
+                enumerate_(n)
+            assert str(exc.value) == f"enumerate_nonisomorphic: graph has {n} vertices, cap is 9"
+    assert calls == []
+
+
+def test_no_enumerated_graph_outlives_the_call():
+    # the sweep keeps only the parent level, and only while it runs
+    def live_graphs():
+        gc.collect()
+        return sum(type(o) is Graph for o in gc.get_objects())
+
+    before = live_graphs()
+    enumerate_nonisomorphic(7)
+    graphs_up_to(7)
+    assert live_graphs() == before
 
 
 def test_gnp_extremes_and_determinism():
@@ -344,7 +363,6 @@ def test_oracles_and_labelling_leave_no_reference_cycles():
         for g in batch:
             color_by_division(g)
             max_weight_clique(g, range(g.n))
-        harness._level.cache_clear()  # so the enumerator runs here
         for g in enumerate_nonisomorphic(6):
             canonical_form(g)
         run_all(graphs_up_to(5), "all graphs on 1..5 vertices")

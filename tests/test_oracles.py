@@ -339,7 +339,7 @@ def test_capacity_errors():
 
 # every public exponential entry point, one vertex over its cap, with the
 # message that CLI error rows and verify skips carry.  graphs_up_to refuses
-# as the first level over the cap would; perfect_division and
+# as enumerate_nonisomorphic does; perfect_division and
 # color_by_division first run the odd-hole search.
 OVER_THE_CAP = [
     ("canonical_form", canonical_form, Graph.empty(11),
