@@ -364,9 +364,6 @@ def main(argv=None) -> int:
     except (_UsageError, ValueError, CapacityError) as exc:
         print(f"forkdiv: {exc}", file=sys.stderr)
         return 2
-    except InvariantError as exc:
-        print(f"forkdiv: invariant violated: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         return 0
 

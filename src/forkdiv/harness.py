@@ -259,10 +259,7 @@ def _t8(g: Graph) -> Outcome:
 def _t9(g: Graph) -> Outcome:
     if not (2 <= g.n <= 6 and g.is_connected()):
         return Outcome(False)
-    try:
-        lg, _, _ = line_graph_division(g)  # certified by the oracles
-    except InvariantError as exc:
-        return Outcome(True, failure={"certificate": str(exc)})
+    lg, _, _ = line_graph_division(g)  # certified by the oracles
     if not is_perfectly_divisible_exact(lg):  # not the graph under check, so no memo
         return Outcome(True, failure={"line_graph_not_perfectly_divisible": True})
     return Outcome(True)
@@ -420,11 +417,14 @@ def run_all(corpus, corpus_desc: str, check_ids=None) -> list[TheoremReport]:
 
 
 def _run(checks, corpus, corpus_desc: str) -> list[TheoremReport]:
-    """Evaluate every check on a graph, then empty the memos before the next;
-    capacity misses become skips, and both lists come back sorted by graph6."""
+    """Evaluate every check on a graph while the memos hold its facts alone;
+    a capacity miss becomes a skip, a failed certificate a counterexample
+    with the message as detail, and both lists come back sorted by graph6."""
     reports = [TheoremReport(c.check_id, c.claim, corpus_desc) for c in checks]
-    for g in corpus:
-        try:
+    try:
+        for g in corpus:
+            for memo in _MEMOS:  # so no fact from before this graph is reused
+                memo.cache_clear()
             for check, report in zip(checks, reports):
                 start = time.perf_counter()
                 report.graphs_scanned += 1
@@ -433,6 +433,8 @@ def _run(checks, corpus, corpus_desc: str) -> list[TheoremReport]:
                 except CapacityError as exc:
                     report.skipped.append({"graph6": formats.emit_graph6(g), "reason": str(exc)})
                     out = Outcome(False)
+                except InvariantError as exc:
+                    out = Outcome(True, failure={"certificate": str(exc)})
                 if out.matched:
                     report.hypothesis_matches += 1
                     for tag in out.tags:
@@ -441,9 +443,9 @@ def _run(checks, corpus, corpus_desc: str) -> list[TheoremReport]:
                         report.counterexamples.append(
                             {"graph6": formats.emit_graph6(g), "detail": out.failure})
                 report.wall_time_s += time.perf_counter() - start
-        finally:  # so the memos never hold more than one graph's facts
-            for memo in _MEMOS:
-                memo.cache_clear()
+    finally:  # so nothing outlives the run, even one that raises
+        for memo in _MEMOS:
+            memo.cache_clear()
     for check, report in zip(checks, reports):
         report.tag_counts = dict.fromkeys(check.tag_names, 0) | report.tag_counts
         report.counterexamples.sort(key=lambda c: c["graph6"])

@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import forkdiv
-from forkdiv import cli
+from forkdiv import cli, harness
 from forkdiv.cli import main
 from forkdiv.formats import emit_graph6, parse_graph6
 from forkdiv.graph import Graph, are_isomorphic
@@ -382,6 +382,30 @@ def test_verify_from_corpus_file(tmp_path, capsys):
     report = json.loads(out)["results"][0]
     assert report["graphs_scanned"] == 34
     assert report["passed"] is True
+
+
+def test_verify_writes_its_envelope_when_a_certificate_fails(capsys, monkeypatch):
+    corpus = graphs_up_to(4)
+    k4 = next(g for g in corpus if g.n == 4 and g.edge_count == 6)
+    real = harness.color_by_division
+
+    def broken(g):
+        if g == k4:
+            raise InvariantError("perfect layer did not colour with omega colours")
+        return real(g)
+
+    monkeypatch.setattr(harness, "color_by_division", broken)
+    batch = "".join(emit_graph6(g) + "\n" for g in corpus)
+    code, out, err = run_cli(["verify", "--check", "all", "--corpus", "-"], capsys,
+                             stdin=batch, monkeypatch=monkeypatch)
+    assert code == 1
+    assert err == ""
+    results = payload(out)["results"]
+    assert [r["check"] for r in results] == list(harness.CHECKS)
+    failed = [r for r in results if not r["passed"]]
+    assert [r["check"] for r in failed] == ["chi-audit"]
+    detail = {"certificate": "perfect layer did not colour with omega colours"}
+    assert failed[0]["counterexamples"] == [{"graph6": emit_graph6(k4), "detail": detail}]
 
 
 def test_verify_unknown_check(capsys):

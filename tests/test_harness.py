@@ -341,13 +341,43 @@ def test_runs_leave_the_memos_empty_and_a_rerun_searches_again(monkeypatch):
     assert len(_count_searches(monkeypatch, n=6)) == len(first) > 0
 
 
+def test_a_run_starts_with_empty_memos(monkeypatch):
+    # a fact memoised outside a run must not stand in for a search inside it
+    fresh = _count_searches(monkeypatch, n=1)
+    CHECKS["T10"].evaluate(Graph.empty(1))
+    assert _memo_sizes() != [0, 0, 0]
+    assert len(_count_searches(monkeypatch, n=1)) == len(fresh) > 0
+    assert _memo_sizes() == [0, 0, 0]
+
+
 def test_a_run_that_raises_still_empties_the_memos(monkeypatch):
-    def broken(g):
-        raise InvariantError("division colouring failed its re-check")
+    def broken(g):  # not an InvariantError, which the run would keep as a row
+        raise RuntimeError("division colouring crashed before its re-check")
 
     monkeypatch.setattr(harness, "color_by_division", broken)
-    with pytest.raises(InvariantError, match="re-check"):
+    with pytest.raises(RuntimeError, match="re-check"):
         run_all(graphs_up_to(4), "tiny")
+    assert _memo_sizes() == [0, 0, 0]
+
+
+def test_a_failed_certificate_in_any_check_is_a_row(monkeypatch):
+    corpus = graphs_up_to(4)
+    k4 = next(g for g in corpus if g.n == 4 and g.edge_count == 6)
+    real = harness.color_by_division
+
+    def broken(g):
+        if g == k4:
+            raise InvariantError("perfect layer did not colour with omega colours")
+        return real(g)
+
+    monkeypatch.setattr(harness, "color_by_division", broken)
+    reports = run_all(corpus, "tiny")
+    assert [r.check_id for r in reports] == list(CHECKS)
+    audit = reports[list(CHECKS).index("chi-audit")]
+    detail = {"certificate": "perfect layer did not colour with omega colours"}
+    assert audit.counterexamples == [{"graph6": emit_graph6(k4), "detail": detail}]
+    assert audit.graphs_scanned == audit.hypothesis_matches == len(corpus)
+    assert all(r.passed for r in reports if r.check_id != "chi-audit")
     assert _memo_sizes() == [0, 0, 0]
 
 

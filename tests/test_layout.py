@@ -1,14 +1,17 @@
 """Guards on the package's layout: a stdlib-only runtime, brute-force
-oracles that share no code with production, caps that are constants, and a
-CLI import that leaves the heavier standard modules unloaded."""
+oracles that share no code with production, caps that are constants, a
+CLI import that leaves the heavier standard modules unloaded, and every name
+the benchmark's tracer wraps."""
 
 import ast
+import importlib
 import inspect
 import subprocess
 import sys
 from pathlib import Path
 
 import forkdiv
+from forkdiv.graph import Graph
 
 TESTS = Path(__file__).parent
 PACKAGE = Path(forkdiv.__file__).parent
@@ -75,3 +78,25 @@ def test_importing_the_cli_loads_no_heavy_standard_module():
     out = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(PACKAGE.parent), *heavy],
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == []
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # perfbench/tracer.py patches these by name, so deleting one passes every
+    # other test and breaks every traced benchmark run
+    tree = ast.parse((TESTS.parent / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    hooks = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("LAYER_FUNCTIONS", "GRAPH_METHODS")
+    }
+    missing = [
+        f"forkdiv.{layer}.{name}"
+        for layer, names in hooks["LAYER_FUNCTIONS"].items()
+        for name in names
+        if not hasattr(importlib.import_module(f"forkdiv.{layer}"), name)
+    ]
+    missing += [f"Graph.{name}" for name in (*hooks["GRAPH_METHODS"], "__post_init__")
+                if not hasattr(Graph, name)]
+    assert len(hooks["LAYER_FUNCTIONS"]) > 1 and hooks["GRAPH_METHODS"]
+    assert missing == []
