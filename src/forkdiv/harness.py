@@ -280,15 +280,18 @@ _AUDIT_CLASSES = tuple(
 
 
 def _chi_audit(g: Graph) -> Outcome:
-    colors, om = _exact_coloring(g.adj, g.vertex_mask)
-    chi = max(colors, default=-1) + 1
+    cert = color_by_division(g)
+    if cert.layers and cert.layers[0].strategy == "perfect-whole":
+        chi = om = cert.palette  # G is perfect: one layer coloured it with omega colours
+    else:
+        colors, om = _exact_coloring(g.adj, g.vertex_mask)
+        chi = max(colors, default=-1) + 1
     violations = []
     for name, patterns, bound in _AUDIT_CLASSES:
         # membership matters only when chi exceeds the bound, so test that first
         limit = bound.evaluate(om)
         if chi > limit and all(_free(g, p) for p in patterns):
             violations.append({"class": name, "bound": limit})
-    cert = color_by_division(g)
     if any(cert.colors[u] == cert.colors[v] for u, v in g.edges()):
         violations.append({"class": "division colouring not proper"})
     if cert.palette < chi:

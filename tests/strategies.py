@@ -81,20 +81,27 @@ _PLANTS = (Graph.cycle(5), Graph.cycle(7), Graph.cycle(7).complement())
 
 
 @st.composite
+def imperfect_graphs(draw, max_n: int = 8):
+    """A graph with an induced C5, C7 or co-C7 planted on drawn vertices,
+    so never perfect, and the planted vertices as a mask."""
+    plant = draw(st.sampled_from([p for p in _PLANTS if p.n <= max_n]))
+    g = draw(graphs(min_n=plant.n, max_n=max_n))
+    at = draw(st.permutations(range(g.n)))[:plant.n]
+    hole = mask_of(at)
+    adj = [row & ~hole if v in at else row for v, row in enumerate(g.adj)]
+    for i, j in plant.edges():
+        adj[at[i]] |= 1 << at[j]
+        adj[at[j]] |= 1 << at[i]
+    return Graph(g.n, tuple(adj)), hole
+
+
+@st.composite
 def graphs_with_masks(draw, max_n: int = 8):
     """A graph and a vertex mask.  Odd holes and antiholes are rare in small
-    random graphs, so about half the draws plant an induced C5, C7 or co-C7
-    on drawn vertices, and the mask then keeps them."""
-    plants = [p for p in _PLANTS if p.n <= max_n]
-    plant = draw(st.sampled_from(plants)) if plants and draw(st.booleans()) else None
-    g = draw(graphs(min_n=plant.n if plant else 0, max_n=max_n))
-    hole = 0
-    if plant:
-        at = draw(st.permutations(range(g.n)))[:plant.n]
-        hole = mask_of(at)
-        adj = [row & ~hole if v in at else row for v, row in enumerate(g.adj)]
-        for i, j in plant.edges():
-            adj[at[i]] |= 1 << at[j]
-            adj[at[j]] |= 1 << at[i]
-        g = Graph(g.n, tuple(adj))
+    random graphs, so about half the draws plant one (imperfect_graphs), and
+    the mask then keeps it."""
+    if max_n >= _PLANTS[0].n and draw(st.booleans()):
+        g, hole = draw(imperfect_graphs(max_n))
+    else:
+        g, hole = draw(graphs(max_n=max_n)), 0
     return g, hole | _vertex_mask(draw, g.n)

@@ -408,6 +408,16 @@ def test_verify_writes_its_envelope_when_a_certificate_fails(capsys, monkeypatch
     assert failed[0]["counterexamples"] == [{"graph6": emit_graph6(k4), "detail": detail}]
 
 
+def test_verify_passes_the_graph_with_no_vertices(capsys, monkeypatch):
+    # "?" has no vertices, so its division colouring has no layers at all
+    code, out, err = run_cli(["verify", "--check", "all", "--corpus", "-"], capsys,
+                             stdin="?\n@\n", monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    results = payload(out)["results"]
+    assert [r["check"] for r in results] == list(harness.CHECKS)
+    assert all(r["passed"] and r["graphs_scanned"] == 2 and not r["skipped"] for r in results)
+
+
 def test_verify_unknown_check(capsys):
     code = main(["verify", "--check", "T99", "--all", "3"])
     _, err = capsys.readouterr()

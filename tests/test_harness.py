@@ -5,14 +5,14 @@ from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bruteforce
 from forkdiv.divisibility import ColoringCertificate, color_by_division
 from forkdiv.formats import emit_graph6
 from forkdiv.graph import Graph, bits, canonical_form, mask_of
-from forkdiv import harness
+from forkdiv import divisibility, harness
 from forkdiv.harness import (
     CHECKS,
     _claw_centers,
@@ -25,7 +25,7 @@ from forkdiv.harness import (
 from forkdiv.limits import CapacityError, InvariantError
 from forkdiv.oracles import max_weight_clique
 from forkdiv.patterns import _SQUARE, CLASS_BOUNDS, claw_center, find_induced, pattern
-from strategies import graphs
+from strategies import graphs, imperfect_graphs
 
 
 def test_enumeration_counts_match_known_sequence():
@@ -294,16 +294,53 @@ def _eager_chi_audit_failure(g, chi, om):
 
 
 @settings(max_examples=150)
-@given(graphs(max_n=8), st.data())
-def test_lazy_chi_audit_matches_an_eager_audit(g, data):
+@given(imperfect_graphs(max_n=8), st.data())
+def test_lazy_chi_audit_matches_an_eager_audit(drawn, data):
     # a stub chi anywhere in [omega, n] makes the class rows fire; the audit
-    # must report the same rows as one that decides every membership first
+    # must report the same rows as one that decides every membership first.
+    # Only an imperfect graph reaches the exact colouring, hence the plant.
+    g, _ = drawn
     om = bruteforce.omega(g)
     chi = data.draw(st.integers(om, max(om, g.n)))
     colors = [min(v, chi - 1) for v in range(g.n)]
-    with mock.patch.object(harness, "_exact_coloring", lambda adj, mask: (colors, om)):
+    with mock.patch.object(harness, "_exact_coloring", return_value=(colors, om)) as stub:
         out = CHECKS["chi-audit"].evaluate(g)
+    stub.assert_called_once_with(g.adj, g.vertex_mask)
     assert out.failure == _eager_chi_audit_failure(g, chi, om)
+
+
+@settings(max_examples=150)
+@given(graphs(min_n=1, max_n=8))
+def test_a_perfect_graph_takes_chi_from_its_division_colouring(g):
+    # chi = omega on a perfect graph, and the division's whole-graph layer
+    # has already coloured it with omega colours: no second colouring
+    assume(bruteforce.is_perfect(g))
+    om = bruteforce.omega(g)
+    with mock.patch.object(harness, "_exact_coloring", side_effect=AssertionError) as stub:
+        out = CHECKS["chi-audit"].evaluate(g)
+    stub.assert_not_called()
+    assert out.failure == _eager_chi_audit_failure(g, om, om)
+
+
+def _count_colourings(corpus, check_ids=None):
+    """_exact_coloring calls made by the chi-audit itself and by the
+    division colouring, over one run of the checks."""
+    with mock.patch.object(harness, "_exact_coloring", wraps=harness._exact_coloring) as own, \
+            mock.patch.object(divisibility, "_exact_coloring", wraps=divisibility._exact_coloring) as layers:
+        run_all(corpus, "counted", check_ids)
+    return {"harness": own.call_count, "divisibility": layers.call_count}
+
+
+def test_verify_colours_a_perfect_graph_once():
+    # a deterministic guard: every check on every graph with n <= 7 makes
+    # 1,546 exact colourings, where colouring each graph in the chi-audit
+    # before its division colouring made 2,651
+    assert sum(_count_colourings(graphs_up_to(7)).values()) == 1546
+    # C6 and K3,3 are perfect: the division's one layer is the only
+    # colouring; C5 is not, so the chi-audit still asks the exact oracle
+    for g in (Graph.cycle(6), Graph.complete_bipartite(3, 3)):
+        assert _count_colourings([g], ["chi-audit"]) == {"harness": 0, "divisibility": 1}
+    assert _count_colourings([Graph.cycle(5)], ["chi-audit"])["harness"] == 1
 
 
 def _count_searches(monkeypatch, check_ids=None, n=7):
@@ -420,7 +457,8 @@ def test_capacity_skips_are_soft():
     report = run_check(CHECKS["chi-audit"], corpus, "with an oversized graph")
     assert report.graphs_scanned == 2
     assert len(report.skipped) == 1
-    assert "17" in report.skipped[0]["reason"]
+    # the division colouring meets the cap before the exact colouring does
+    assert report.skipped[0]["reason"] == "find_odd_hole: graph has 17 vertices, cap is 16"
     assert report.passed
 
 
