@@ -251,9 +251,9 @@ class ColorLayer(namedtuple("ColorLayer", "a b strategy colors_used")):
 
 
 class ColoringCertificate(namedtuple("ColoringCertificate",
-                                      "colors palette bound_value layers fallback")):
-    """Colours per vertex, their count, the binomial bound's value, the
-    ColorLayers, and whether a residual was coloured exactly."""
+                                      "colors palette omega layers fallback")):
+    """Colours per vertex, their count, omega(G), the ColorLayers, and
+    whether a residual was coloured exactly."""
 
     __slots__ = ()
 
@@ -261,7 +261,7 @@ class ColoringCertificate(namedtuple("ColoringCertificate",
         return {
             "colors": list(self.colors),
             "palette": self.palette,
-            "bound": {**_BINOMIAL.to_json(), "value": self.bound_value},
+            "bound": {**_BINOMIAL.to_json(), "value": _BINOMIAL.evaluate(self.omega)},
             "layers": [layer.to_json() for layer in self.layers],
             "fallback": self.fallback,
         }
@@ -301,7 +301,7 @@ def color_by_division(g: Graph) -> ColoringCertificate:
     return ColoringCertificate(
         colors=tuple(colors),
         palette=next_color,
-        bound_value=_BINOMIAL.evaluate(omega),
+        omega=omega,
         layers=tuple(layers),
         fallback=fallback,
     )

@@ -281,11 +281,10 @@ _AUDIT_CLASSES = tuple(
 
 def _chi_audit(g: Graph) -> Outcome:
     cert = color_by_division(g)
-    if cert.layers and cert.layers[0].strategy == "perfect-whole":
-        chi = om = cert.palette  # G is perfect: one layer coloured it with omega colours
-    else:
-        colors, om = _exact_coloring(g.adj, g.vertex_mask)
-        chi = max(colors, default=-1) + 1
+    chi = om = cert.omega  # a proper colouring with omega colours is optimal
+    if cert.palette > om:
+        colors, _ = _exact_coloring(g.adj, g.vertex_mask, om)
+        chi = max(colors) + 1
     violations = []
     for name, patterns, bound in _AUDIT_CLASSES:
         # membership matters only when chi exceeds the bound, so test that first
@@ -296,7 +295,7 @@ def _chi_audit(g: Graph) -> Outcome:
         violations.append({"class": "division colouring not proper"})
     if cert.palette < chi:
         violations.append({"class": "division palette below chi"})
-    if not cert.fallback and cert.palette > cert.bound_value:
+    if not cert.fallback and cert.palette > _BINOMIAL.evaluate(om):
         violations.append({"class": f"division palette above {_BINOMIAL.text}"})
     if violations:
         return Outcome(True, failure={"omega": om, "chi": chi, "violations": violations})

@@ -88,7 +88,7 @@ def test_criterion_4_tightness_witness(capsys):
         clique_number(c5) == 2
         and chromatic_number(c5) == 3
         and cert.palette == 3
-        and cert.bound_value == 3
+        and cert.omega == 2
         and not cert.fallback
     )
     announce(capsys, ok, 4, "C5 meets binom(omega+1,2) with equality (palette 3)")

@@ -405,7 +405,8 @@ def test_perfect_graphs_are_perfectly_divisible(g):
 
 def test_coloring_tight_on_odd_cycle():
     cert = color_by_division(Graph.cycle(5))
-    assert cert.palette == 3 == cert.bound_value
+    assert (cert.palette, cert.omega) == (3, 2)
+    assert cert.to_json()["bound"]["value"] == 3
     assert not cert.fallback
 
 
@@ -449,11 +450,11 @@ def test_coloring_takes_omega_from_the_first_certificate(monkeypatch):
 
     monkeypatch.setattr(oracles, "_max_clique_size", counted)
     monkeypatch.setattr(divisibility, "_max_clique_size", counted)
-    for g, bound, last in [(petersen(), 3, "perfect-whole"), (MYCIELSKI_C5, 3, "fallback-exact"),
-                           (Graph.complete(4), 10, "perfect-whole"), (Graph.empty(0), 0, None)]:
+    for g, om, last in [(petersen(), 2, "perfect-whole"), (MYCIELSKI_C5, 2, "fallback-exact"),
+                        (Graph.complete(4), 4, "perfect-whole"), (Graph.empty(0), 0, None)]:
         searched.clear()
         cert = color_by_division(g)
-        assert cert.bound_value == bound
+        assert cert.omega == om
         assert (cert.layers[-1].strategy if cert.layers else None) == last
         assert len(searched) == len(set(searched))
 
@@ -517,9 +518,10 @@ def test_coloring_certificate_properties(g):
     assert cert.palette == len(set(cert.colors))
     assert cert.palette >= chromatic_number(g)
     om = clique_number(g)
-    assert cert.bound_value == (om + 1) * om // 2
+    assert cert.omega == om
+    assert cert.to_json()["bound"]["value"] == (om + 1) * om // 2
     if not cert.fallback:
-        assert cert.palette <= cert.bound_value
+        assert cert.palette <= (om + 1) * om // 2
     covered = 0
     for layer in cert.layers:
         assert layer.a & covered == 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import bruteforce
 from forkdiv.divisibility import ColoringCertificate, color_by_division
-from forkdiv.formats import emit_graph6
+from forkdiv.formats import emit_graph6, parse_graph6
 from forkdiv.graph import Graph, bits, canonical_form, mask_of
 from forkdiv import divisibility, harness
 from forkdiv.harness import (
@@ -259,7 +259,7 @@ def test_report_json_shape_and_direction_breakdown():
 def test_chi_audit_reports_every_bound_a_chi_exceeds(monkeypatch):
     # no small graph breaks a bound, so claim chi = 5 for C5 (omega = 2):
     # every class applies to C5, and the real division colouring uses 3
-    monkeypatch.setattr(harness, "_exact_coloring", lambda adj, mask: (list(range(5)), 2))
+    monkeypatch.setattr(harness, "_exact_coloring", lambda adj, mask, om: (list(range(5)), om))
     out = CHECKS["chi-audit"].evaluate(Graph.cycle(5))
     limits = {"K3": 3, "2K2": 3, "dart": 4, "banner": 4, "co-cricket": 4, "claw": 4,
               "P6": 3, "co-dart": 3, "bull": 3, "K5-e": 3, "co-(P3+2K1)": 3, "antifork": 4}
@@ -288,7 +288,7 @@ def _eager_chi_audit_failure(g, chi, om):
         violations.append({"class": "division colouring not proper"})
     if cert.palette < chi:
         violations.append({"class": "division palette below chi"})
-    if not cert.fallback and cert.palette > cert.bound_value:
+    if not cert.fallback and cert.palette > (om + 1) * om // 2:
         violations.append({"class": "division palette above binom(omega+1,2)"})
     return {"omega": om, "chi": chi, "violations": violations} if violations else None
 
@@ -298,14 +298,19 @@ def _eager_chi_audit_failure(g, chi, om):
 def test_lazy_chi_audit_matches_an_eager_audit(drawn, data):
     # a stub chi anywhere in [omega, n] makes the class rows fire; the audit
     # must report the same rows as one that decides every membership first.
-    # Only an imperfect graph reaches the exact colouring, hence the plant.
+    # Only a division colouring with more than omega colours sends the audit
+    # to the exact colouring, and a perfect graph never has one, hence the plant.
     g, _ = drawn
     om = bruteforce.omega(g)
     chi = data.draw(st.integers(om, max(om, g.n)))
     colors = [min(v, chi - 1) for v in range(g.n)]
     with mock.patch.object(harness, "_exact_coloring", return_value=(colors, om)) as stub:
         out = CHECKS["chi-audit"].evaluate(g)
-    stub.assert_called_once_with(g.adj, g.vertex_mask)
+    if color_by_division(g).palette > om:
+        stub.assert_called_once_with(g.adj, g.vertex_mask, om)
+    else:
+        stub.assert_not_called()
+        chi = om
     assert out.failure == _eager_chi_audit_failure(g, chi, om)
 
 
@@ -333,14 +338,22 @@ def _count_colourings(corpus, check_ids=None):
 
 def test_verify_colours_a_perfect_graph_once():
     # a deterministic guard: every check on every graph with n <= 7 makes
-    # 1,546 exact colourings, where colouring each graph in the chi-audit
-    # before its division colouring made 2,651
-    assert sum(_count_colourings(graphs_up_to(7)).values()) == 1546
+    # 1,505 exact colourings, where colouring each graph in the chi-audit
+    # before its division colouring made 2,651, and colouring every
+    # imperfect graph again made 1,546
+    assert sum(_count_colourings(graphs_up_to(7)).values()) == 1505
     # C6 and K3,3 are perfect: the division's one layer is the only
-    # colouring; C5 is not, so the chi-audit still asks the exact oracle
+    # colouring.  EEho (C5 with a triangle on one edge) is not, but its
+    # division colouring uses omega = 3 colours, so it is optimal too
     for g in (Graph.cycle(6), Graph.complete_bipartite(3, 3)):
         assert _count_colourings([g], ["chi-audit"]) == {"harness": 0, "divisibility": 1}
-    assert _count_colourings([Graph.cycle(5)], ["chi-audit"])["harness"] == 1
+    assert _count_colourings([parse_graph6("EEho")], ["chi-audit"])["harness"] == 0
+    # C5's division colouring uses 3 > omega colours: the chi-audit asks
+    # the exact oracle, and hands it omega = 2 so no clique is searched again
+    c5 = Graph.cycle(5)
+    with mock.patch.object(harness, "_exact_coloring", wraps=harness._exact_coloring) as own:
+        CHECKS["chi-audit"].evaluate(c5)
+    own.assert_called_once_with(c5.adj, c5.vertex_mask, 2)
 
 
 def _count_searches(monkeypatch, check_ids=None, n=7):
@@ -439,7 +452,7 @@ def test_oracles_and_labelling_leave_no_reference_cycles():
 
 
 def test_chi_audit_reports_a_bad_division_colouring(monkeypatch):
-    bad = ColoringCertificate(colors=(0,) * 5, palette=9, bound_value=3, layers=(), fallback=False)
+    bad = ColoringCertificate(colors=(0,) * 5, palette=9, omega=2, layers=(), fallback=False)
     monkeypatch.setattr(harness, "color_by_division", lambda g: bad)
     out = CHECKS["chi-audit"].evaluate(Graph.cycle(5))
     assert out.failure == {
