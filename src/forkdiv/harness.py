@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from functools import lru_cache
+from itertools import islice
 
 from . import formats
 from .decomposition import find_homogeneous_set
@@ -127,7 +128,7 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-# -- memoised per-graph facts, shared by the checks on one graph --
+# -- memoised per-graph facts, shared by the checks on one block of graphs --
 
 
 @lru_cache(maxsize=None)
@@ -372,6 +373,7 @@ CHECKS: dict[str, TheoremCheck] = {
 }
 
 _MEMOS = (_free, _homogeneous, _pd_exact)  # bound here, so stubbing a name keeps the clearing
+BLOCK = 64  # graphs per block: the memos hold at most this many graphs' facts
 
 
 class TheoremReport:
@@ -419,31 +421,35 @@ def run_all(corpus, corpus_desc: str, check_ids=None) -> list[TheoremReport]:
 
 
 def _run(checks, corpus, corpus_desc: str) -> list[TheoremReport]:
-    """Evaluate every check on a graph while the memos hold its facts alone;
-    a capacity miss becomes a skip, a failed certificate a counterexample
-    with the message as detail, and both lists come back sorted by graph6."""
+    """Evaluate the checks one after another over each block of BLOCK graphs
+    taken from the corpus, any iterable, while the memos hold that block's
+    facts alone; a capacity miss becomes a skip, a failed certificate a
+    counterexample with the message as detail, and both lists come back
+    sorted by graph6."""
     reports = [TheoremReport(c.check_id, c.claim, corpus_desc) for c in checks]
+    corpus = iter(corpus)
     try:
-        for g in corpus:
-            for memo in _MEMOS:  # so no fact from before this graph is reused
+        while block := list(islice(corpus, BLOCK)):
+            for memo in _MEMOS:  # so no fact from before this block is reused
                 memo.cache_clear()
             for check, report in zip(checks, reports):
                 start = time.perf_counter()
-                report.graphs_scanned += 1
-                try:
-                    out = check.evaluate(g)
-                except CapacityError as exc:
-                    report.skipped.append({"graph6": formats.emit_graph6(g), "reason": str(exc)})
-                    out = Outcome(False)
-                except InvariantError as exc:
-                    out = Outcome(True, failure={"certificate": str(exc)})
-                if out.matched:
-                    report.hypothesis_matches += 1
-                    for tag in out.tags:
-                        report.tag_counts[tag] = report.tag_counts.get(tag, 0) + 1
-                    if out.failure is not None:
-                        report.counterexamples.append(
-                            {"graph6": formats.emit_graph6(g), "detail": out.failure})
+                for g in block:
+                    try:
+                        out = check.evaluate(g)
+                    except CapacityError as exc:
+                        report.skipped.append({"graph6": formats.emit_graph6(g), "reason": str(exc)})
+                        continue
+                    except InvariantError as exc:
+                        out = Outcome(True, failure={"certificate": str(exc)})
+                    if out.matched:
+                        report.hypothesis_matches += 1
+                        for tag in out.tags:
+                            report.tag_counts[tag] = report.tag_counts.get(tag, 0) + 1
+                        if out.failure is not None:
+                            report.counterexamples.append(
+                                {"graph6": formats.emit_graph6(g), "detail": out.failure})
+                report.graphs_scanned += len(block)
                 report.wall_time_s += time.perf_counter() - start
     finally:  # so nothing outlives the run, even one that raises
         for memo in _MEMOS:

@@ -304,6 +304,31 @@ def test_verify_all_small(capsys):
     assert report["wall_time_s"] is None
 
 
+def test_verify_all_streams_the_sweep_into_the_run(capsys, monkeypatch):
+    # the first check runs on the first block, so `verify --all` never
+    # builds the whole corpus as a list before it checks anything
+    yielded, at_first_check = [0], []
+    sweep, t10 = harness._sweep, harness.CHECKS["T10"]
+
+    def counted(n):
+        for g in sweep(n):
+            yielded[0] += 1
+            yield g
+
+    def evaluate(g):
+        if not at_first_check:
+            at_first_check.append(yielded[0])
+        return t10.evaluate(g)
+
+    monkeypatch.setattr(cli, "_sweep", counted)
+    monkeypatch.setitem(harness.CHECKS, "T10", t10._replace(evaluate=evaluate))
+    code, out, _ = run_cli(["verify", "--check", "T10", "--all", "7"], capsys)
+    assert code == 0
+    # the sweep's first graph, on no vertices, is not in the corpus
+    assert at_first_check == [harness.BLOCK + 1]
+    assert payload(out)["input"]["graphs"] == yielded[0] - 1 == 1252
+
+
 def test_verify_is_byte_deterministic(capsys):
     assert main(["verify", "--check", "all", "--all", "4"]) == 0
     first, _ = capsys.readouterr()

@@ -384,8 +384,39 @@ def test_verify_searches_patterns_only_when_an_outcome_depends_on_them(monkeypat
     assert {name for _, _, name in calls} == {"fork", "K3"}
 
 
+def test_blocks_give_the_reports_of_each_check_run_alone(monkeypatch):
+    # blocks split the corpus, which is not a whole number of blocks, and
+    # every check runs over a block before the next check starts: each
+    # report must still be the one that check gives over the corpus alone
+    corpus = graphs_up_to(6) + [random_gnp(7 + seed % 4, 0.5, seed) for seed in range(30)]
+    assert len(corpus) % harness.BLOCK
+    alone = [run_check(check, corpus, "blocks").to_json() for check in CHECKS.values()]
+    sizes = []
+
+    def watched(check):
+        def evaluate(g):
+            try:
+                return check.evaluate(g)
+            finally:
+                sizes.append(max(harness._homogeneous.cache_info().currsize,
+                                 harness._pd_exact.cache_info().currsize))
+        return check._replace(evaluate=evaluate)
+
+    for check_id, check in CHECKS.items():
+        monkeypatch.setitem(CHECKS, check_id, watched(check))
+    for given in (iter(corpus), corpus):
+        assert [r.to_json() for r in run_all(given, "blocks")] == alone
+    # a memo holds the facts of several graphs, never of more than a block
+    assert 1 < max(sizes) <= harness.BLOCK
+    assert _memo_sizes() == [0, 0, 0]
+    empty = run_all(iter(()), "empty")
+    assert [r.check_id for r in empty] == list(CHECKS)
+    assert all(r.passed and r.graphs_scanned == r.hypothesis_matches == 0 for r in empty)
+
+
 def test_runs_leave_the_memos_empty_and_a_rerun_searches_again(monkeypatch):
-    # the memos hold one graph's facts at a time, so nothing outlives a run
+    # the memos hold one block of graphs' facts at a time, so nothing
+    # outlives a run
     first = _count_searches(monkeypatch, n=6)
     assert _memo_sizes() == [0, 0, 0]
     assert len(_count_searches(monkeypatch, n=6)) == len(first) > 0
