@@ -27,7 +27,7 @@ from . import __version__, formats
 from .divisibility import _line_graph, color_by_division, divide_weighted, line_graph_division
 from .divisibility import perfect_division
 from .graph import Graph, bits
-from .harness import CHECKS, _sweep, enumerate_nonisomorphic, random_gnp, run_all
+from .harness import CHECKS, enumerate_nonisomorphic, iter_graphs_up_to, random_gnp, run_all
 from .limits import CapacityError, InvariantError
 from .oracles import (
     chromatic_number,
@@ -261,12 +261,13 @@ def _cmd_verify(args, started):
     else:
         if args.all < 1:
             raise _UsageError(f"--all expects N >= 1, got {args.all}")
-        graphs = (g for g in _sweep(args.all) if g.n)  # streamed: the run holds one block
+        graphs = iter_graphs_up_to(args.all)  # streamed: the run holds one block
         meta = {"path": None, "format": "generated", "sha256": None}
         desc = f"all graphs on 1..{args.all} vertices"
     ids = None if args.check == "all" else [args.check]
     reports = run_all(graphs, desc, ids)
-    meta["graphs"] = reports[0].graphs_scanned  # every check scans every graph
+    if not args.corpus:  # counted as the stream ran: every check scans every graph
+        meta["graphs"] = reports[0].graphs_scanned
     results = [r.to_json(include_timing=args.timing) for r in reports]
     _emit(_envelope("verify", meta, results, started))
     return 0 if all(r.passed for r in reports) else 1

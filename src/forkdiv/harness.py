@@ -31,7 +31,13 @@ def enumerate_nonisomorphic(n: int) -> list[Graph]:
 
 def graphs_up_to(n: int) -> list[Graph]:
     """All non-isomorphic graphs on 1..n vertices, level by level."""
-    return [g for g in _sweep(n) if g.n >= 1]
+    return list(iter_graphs_up_to(n))
+
+
+def iter_graphs_up_to(n: int):
+    """Yields graphs_up_to(n) one graph at a time: _sweep without its
+    empty graph, so a caller that streams holds only the sweep's level."""
+    return (g for g in _sweep(n) if g.n >= 1)
 
 
 def _sweep(n: int):

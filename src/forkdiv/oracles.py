@@ -4,13 +4,12 @@ Colour classes are vertex masks throughout.  One value search and one
 witness search serve every clique question, under unit weights or
 nonnegative vertex weights alike: both bound a branch by the heaviest
 weights of its greedy colour classes, summed, which is the class count
-under unit weights, where no weight is read, and under weights the
-classes are grown heaviest first.  The exact colouring is a clique-seeded
-saturation-degree (DSATUR) branch-and-bound over a list of class masks,
-and odd holes are found by extending induced paths, each hole once in one
-orientation, with anchors and entries that cannot close a hole pruned.
-Every witness is deterministic: ties break toward the lexicographically
-smallest vertex set.
+under unit weights, where no weight is read.  The exact colouring is a
+clique-seeded saturation-degree (DSATUR) branch-and-bound over a list of
+class masks, and odd holes are found by extending induced paths, each
+hole once in one orientation, with anchors and entries that cannot close
+a hole pruned.  Every witness is deterministic: ties break toward the
+lexicographically smallest vertex set.
 """
 
 from __future__ import annotations
@@ -37,52 +36,17 @@ def _color_classes(adj, cand):
     return classes
 
 
-def _weight_levels(w, cand):
-    """The vertices of cand grouped by weight under w, as (weight, mask)
-    pairs, heaviest first."""
-    levels = {}
-    for v in bits(cand):
-        levels[w[v]] = levels.get(w[v], 0) | 1 << v
-    return sorted(levels.items(), reverse=True)
-
-
-def _weighted_classes(adj, cand, levels):
-    """Greedy colour classes of cand as vertex masks, with each class's
-    heaviest weight, for the weight levels of _weight_levels.  Each class is
-    grown from the heaviest vertex left through the rest in descending
-    weight (ties by index), so heavy vertices share classes and a light
-    class is not counted as heavy."""
-    classes, tops = [], []
-    while cand:
-        cls = 0
-        avail = cand
-        for weight, level in levels:
-            take = avail & level
-            if take and not cls:
-                tops.append(weight)
-            while take:
-                bit = take & -take
-                cls |= bit
-                avail &= ~adj[bit.bit_length() - 1]
-                take &= avail & ~bit
-        classes.append(cls)
-        cand ^= cls
-    return classes, tops
-
-
 def _max_clique_size(adj, cand, w=None):
     """Largest weight of a clique within cand under the nonnegative weights
     w, unit weights when w is None (the empty clique weighs 0).
 
     The best starts at the greedy clique that keeps taking the highest
-    candidate.  Each node colours its candidates greedily (heaviest first
-    under weights) and branches from the last class down, highest vertex
-    first, while the clique's weight plus the bound of the vertex's class
-    can still beat the best.  A clique meets
+    candidate.  Each node colours its candidates greedily and branches from
+    the last class down, highest vertex first, while the clique's weight plus
+    the bound of the vertex's class can still beat the best.  A clique meets
     each class at most once, so classes 1..k bound it by the sum of their
     heaviest weights, which is k under unit weights; weights are read only
     when given."""
-    levels = None if w is None else _weight_levels(w, cand)
     best = 0
     rest = cand
     while rest:
@@ -96,11 +60,9 @@ def _max_clique_size(adj, cand, w=None):
             if size > best:
                 best = size
             return
-        if w is None:
-            classes = _color_classes(adj, cand)
-        else:
-            classes, tops = _weighted_classes(adj, cand, levels)
-            bound = list(accumulate(tops, initial=0))
+        classes = _color_classes(adj, cand)
+        if w is not None:
+            bound = list(accumulate((max(w[v] for v in bits(cls)) for cls in classes), initial=0))
         for k in range(len(classes), 0, -1):
             cls = classes[k - 1]
             reach = size + (k if w is None else bound[k])
@@ -128,8 +90,6 @@ def _max_clique(adj, mask, need, w=None):
     when its colour classes do, each counting its heaviest weight (under
     unit weights, once the clique needs three or more vertices)."""
 
-    levels = None if w is None else _weight_levels(w, mask)
-
     def first(chosen, cand, need):
         if need <= 0:
             return chosen
@@ -139,7 +99,8 @@ def _max_clique(adj, mask, need, w=None):
                 return None
         else:
             avail = sum(w[v] for v in bits(cand))
-            if avail < need or sum(_weighted_classes(adj, cand, levels)[1]) < need:
+            if avail < need or sum(max(w[v] for v in bits(cls))
+                                   for cls in _color_classes(adj, cand)) < need:
                 return None
         while avail >= need:
             bit = cand & -cand

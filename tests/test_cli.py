@@ -320,7 +320,7 @@ def test_verify_all_streams_the_sweep_into_the_run(capsys, monkeypatch):
             at_first_check.append(yielded[0])
         return t10.evaluate(g)
 
-    monkeypatch.setattr(cli, "_sweep", counted)
+    monkeypatch.setattr(harness, "_sweep", counted)
     monkeypatch.setitem(harness.CHECKS, "T10", t10._replace(evaluate=evaluate))
     code, out, _ = run_cli(["verify", "--check", "T10", "--all", "7"], capsys)
     assert code == 0

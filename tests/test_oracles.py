@@ -13,13 +13,10 @@ from forkdiv.harness import enumerate_nonisomorphic, graphs_up_to, random_gnp
 from forkdiv.limits import CANONICAL_CAP, ENUMERATION_CAP, SEARCH_CAP, CapacityError
 from forkdiv.oracles import (
     _co_rows,
-    _color_classes,
     _exact_coloring,
     _max_clique,
     _max_clique_size,
     _odd_holes,
-    _weight_levels,
-    _weighted_classes,
     chromatic_number,
     clique_number,
     exact_coloring,
@@ -138,38 +135,6 @@ def test_max_weight_witness_is_lex_least_under_skewed_weights():
         rng = random.Random(seed)
         g = random_gnp(rng.randint(1, 9), rng.choice([0.3, 0.5, 0.8]), seed)
         w = [rng.choice((0, 1, 1000)) for _ in range(g.n)]
-        value, witness = max_weight_clique(g, w)
-        assert value == bruteforce.max_weight_clique(g, w)
-        assert tuple(bits(witness)) == bruteforce.max_weight_clique_witness(g, w)
-
-
-def test_weighted_colour_classes_grow_heaviest_first():
-    # light 0 and 2, heavy 1 and 3, edges 0-3 and 1-2: in index order each
-    # class holds a heavy vertex and the bound counts 2000, grown heaviest
-    # first the light pair shares a class and the bound is the optimum 1001
-    g = Graph.from_edges(4, [(0, 3), (1, 2)])
-    w = (1, 1000, 1, 1000)
-    assert _color_classes(g.adj, g.vertex_mask) == [mask_of([0, 1]), mask_of([2, 3])]
-    levels = _weight_levels(w, g.vertex_mask)
-    assert levels == [(1000, mask_of([1, 3])), (1, mask_of([0, 2]))]
-    classes, tops = _weighted_classes(g.adj, g.vertex_mask, levels)
-    assert (classes, tops) == ([mask_of([1, 3]), mask_of([0, 2])], [1000, 1])
-    assert sum(tops) == max_weight_clique(g, w)[0] == 1001
-
-
-def test_max_weight_clique_matches_brute_force_on_skewed_seeded_graphs():
-    # denser and larger than the drawn cases, with a few heavy vertices
-    # among light ones of several weights: the classes change, the value
-    # and the lexicographically first witness must not
-    for seed in range(40):
-        rng = random.Random(seed)
-        g = random_gnp(rng.randint(8, 12), rng.choice([0.5, 0.7, 0.9]), seed)
-        w = [rng.choice((0, 1, 2, 3, 1000)) for _ in range(g.n)]
-        classes, tops = _weighted_classes(g.adj, g.vertex_mask, _weight_levels(w, g.vertex_mask))
-        assert sorted(v for cls in classes for v in bits(cls)) == list(range(g.n))
-        assert not any(cls & g.adj[v] for cls in classes for v in bits(cls))
-        assert tops == [max(w[v] for v in bits(cls)) for cls in classes]
-        assert tops == sorted(tops, reverse=True)
         value, witness = max_weight_clique(g, w)
         assert value == bruteforce.max_weight_clique(g, w)
         assert tuple(bits(witness)) == bruteforce.max_weight_clique_witness(g, w)
