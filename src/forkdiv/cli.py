@@ -27,7 +27,7 @@ from . import __version__, formats
 from .divisibility import _line_graph, color_by_division, divide_weighted, line_graph_division
 from .divisibility import perfect_division
 from .graph import Graph, bits
-from .harness import CHECKS, enumerate_nonisomorphic, iter_graphs_up_to, random_gnp, run_all
+from .harness import CHECKS, iter_graphs_up_to, iter_nonisomorphic, random_gnp, run_all
 from .limits import CapacityError, InvariantError
 from .oracles import (
     chromatic_number,
@@ -189,7 +189,7 @@ def _load_weights(path: str, n: int):
     try:
         with open(path, "r", encoding="ascii") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not ASCII, or not JSON
         raise _UsageError(f"cannot read weights {path}: {exc}") from exc
     if not isinstance(data, list) or len(data) != n:
         raise _UsageError(f"weights must be a JSON list of {n} integers")
@@ -244,7 +244,7 @@ def _cmd_gen(args, started):
             raise _UsageError("--gnp expects integers N and SEED and a float P") from None
         out = [random_gnp(n, p, seed)]
     else:
-        out = enumerate_nonisomorphic(args.all)
+        out = iter_nonisomorphic(args.all)  # streamed: level N is never held as a list
     for g in out:
         sys.stdout.write(formats.emit_graph6(g) + "\n")
     return 0

@@ -26,7 +26,13 @@ from .patterns import (_BINOMIAL, _SQUARE, CLASS_BOUNDS, _claw_triple, _iter_ind
 
 def enumerate_nonisomorphic(n: int) -> list[Graph]:
     """All non-isomorphic graphs on exactly n vertices, in _sweep's order."""
-    return [g for g in _sweep(n) if g.n == n]
+    return list(iter_nonisomorphic(n))
+
+
+def iter_nonisomorphic(n: int):
+    """Yields enumerate_nonisomorphic(n) one graph at a time, so a caller
+    that streams never holds level n as a list."""
+    return (g for g in _sweep(n) if g.n == n)
 
 
 def graphs_up_to(n: int) -> list[Graph]:
@@ -48,14 +54,15 @@ def _sweep(n: int):
     the sweep is exhaustive.  Only the parent level is held, as rows with
     the automorphisms _label found, and the last level never is.
 
-    Orbit pruning labels only the neighbourhoods _least_in_orbit returns.
-    Each generator σ is an automorphism of the parent, so child(nb) is
-    isomorphic to child(σ(nb)).  An nb that is not least in its orbit
-    therefore has an isomorphic child already met from the same parent, so
-    its own child would never be kept, and every level keeps the same graphs
-    in the same order.  Whether the generators span the whole group changes
-    only how many neighbourhoods are skipped.  Candidates are labelled as
-    raw rows; only kept ones become a validated Graph.
+    Orbit pruning labels only the neighbourhoods _least_under_generators
+    returns.  Each generator σ is an automorphism of the parent, so
+    child(nb) is isomorphic to child(σ(nb)).  If some σ maps nb lower, then
+    by induction on nb the child of σ(nb), or of a smaller neighbourhood
+    still, was labelled earlier from the same parent, so nb's own child
+    would never be kept.  No generator maps an orbit's least member lower,
+    so every level keeps the same graphs in the same order; the generators
+    change only how many neighbourhoods are labelled.  Candidates are
+    labelled as raw rows; only kept ones become a validated Graph.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -67,7 +74,7 @@ def _sweep(n: int):
         top = 1 << (k - 1)
         seen, level = set(), []
         for adj, automorphisms in parents:
-            for nb in _least_in_orbit(adj, automorphisms):
+            for nb in _least_under_generators(adj, automorphisms):
                 rows = [row | top if nb >> v & 1 else row for v, row in enumerate(adj)]
                 rows.append(nb)
                 key, found = _label(rows)
@@ -80,10 +87,11 @@ def _sweep(n: int):
         parents = level
 
 
-def _least_in_orbit(adj, gens) -> list[int] | range:
-    """The new-vertex neighbourhoods over the rows adj, ascending, least in
-    their orbit under gens (_label's automorphisms of adj, a fresh list this
-    call extends) and the twin swaps (u v), which _label never reports."""
+def _least_under_generators(adj, gens) -> list[int] | range:
+    """The new-vertex neighbourhoods over the rows adj, ascending, that no
+    single generator maps lower: gens holds _label's automorphisms of adj (a
+    fresh list this call extends) and gains the twin swaps (u v), which
+    _label never reports.  Each orbit's least member is among them."""
     m = len(adj)
     for v in range(m):
         for u in range(v):
@@ -100,20 +108,7 @@ def _least_in_orbit(adj, gens) -> list[int] | range:
             bit = 1 << p[v]
             img += [x | bit for x in img]
         tables.append(img)
-    skip = bytearray(1 << m)
-    leaders = []
-    for nb in range(1 << m):
-        if skip[nb]:
-            continue
-        leaders.append(nb)
-        stack = [nb]  # mark nb's orbit; nb is its least member
-        while stack:
-            x = stack.pop()
-            for img in tables:
-                if not skip[y := img[x]]:
-                    skip[y] = 1
-                    stack.append(y)
-    return leaders
+    return [nb for nb in range(1 << m) if all(img[nb] >= nb for img in tables)]
 
 
 def random_gnp(n: int, p: float, seed: int) -> Graph:

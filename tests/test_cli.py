@@ -13,10 +13,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import forkdiv
-from forkdiv import cli, harness
+from forkdiv import cli, divisibility, harness
 from forkdiv.cli import main
 from forkdiv.formats import emit_graph6, parse_graph6
-from forkdiv.graph import Graph, are_isomorphic
+from forkdiv.graph import Graph, are_isomorphic, bits
 from forkdiv.harness import enumerate_nonisomorphic, graphs_up_to
 from forkdiv.limits import InvariantError
 from forkdiv.patterns import has_induced
@@ -206,6 +206,28 @@ def test_boolean_weights_are_a_usage_error(tmp_path, capsys, monkeypatch):
     assert "weights must be nonnegative integers" in err
 
 
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (None, "[Errno 2] No such file or directory: '{path}'"),
+        (b"[1, 0,", "Expecting value: line 1 column 7 (char 6)"),
+        (b"[1, 0, 0] #", "Extra data: line 1 column 11 (char 10)"),
+        ("[1, 0, 0] \u00e9".encode(), "'ascii' codec can't decode byte 0xc3 in position 10:"
+                                         " ordinal not in range(128)"),
+    ],
+    ids=["missing", "truncated", "trailing", "not-ascii"],
+)
+def test_unreadable_weights_are_a_usage_error(content, reason, tmp_path, capsys, monkeypatch):
+    wfile = tmp_path / "w.json"
+    if content is not None:
+        wfile.write_bytes(content)
+    p3 = emit_graph6(Graph.path(3))
+    code, out, err = run_cli(["divide", "--weights", str(wfile), "-"], capsys, stdin=p3 + "\n",
+                             monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == f"forkdiv: cannot read weights {wfile}: {reason.format(path=wfile)}\n"
+
+
 def test_divide_weighted(tmp_path, capsys, monkeypatch):
     wfile = tmp_path / "w.json"
     wfile.write_text("[1, 0, 0]")
@@ -267,6 +289,40 @@ def test_gen_all_out_of_range_is_usage_error(n, message, capsys):
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert message in err
+
+
+def test_gen_all_streams_the_sweep(capsys, monkeypatch):
+    # the first line goes out as soon as the sweep yields the first graph
+    # of level 7, so `gen --all` never builds the level as a list
+    yielded, at_first_write = [0], []
+    sweep, write = harness._sweep, sys.stdout.write
+
+    def counted(n):
+        for g in sweep(n):
+            yielded[0] += 1
+            yield g
+
+    def watched(text):
+        if not at_first_write:
+            at_first_write.append(yielded[0])
+        return write(text)
+
+    monkeypatch.setattr(harness, "_sweep", counted)
+    monkeypatch.setattr(sys.stdout, "write", watched)
+    code, out, _ = run_cli(["gen", "--all", "7"], capsys)
+    assert code == 0
+    # levels 0..6 hold 1 + 1 + 2 + 4 + 11 + 34 + 156 = 209 graphs
+    assert at_first_write == [210]
+    assert yielded[0] == 209 + len(out.splitlines()) == 209 + 1044
+    # the empty graph is level 0 of the sweep, so it is still written
+    assert run_cli(["gen", "--all", "0"], capsys) == (0, "?\n", "")
+
+
+@pytest.mark.parametrize("argv", [["5.5", "0.5", "1"], ["5", "0.5", "x"], ["5", "half", "1"]],
+                         ids=["N", "SEED", "P"])
+def test_gen_gnp_refuses_a_malformed_argument(argv, capsys):
+    assert run_cli(["gen", "--gnp", *argv], capsys) == (
+        2, "", "forkdiv: --gnp expects integers N and SEED and a float P\n")
 
 
 def test_gen_gnp_golden(capsys):
@@ -407,6 +463,30 @@ def test_verify_from_corpus_file(tmp_path, capsys):
     report = json.loads(out)["results"][0]
     assert report["graphs_scanned"] == 34
     assert report["passed"] is True
+
+
+def test_a_perfect_layer_over_omega_colours_fails_its_certificate(capsys, monkeypatch):
+    # the real guard in color_by_division, reached by colouring a perfect
+    # layer properly with one colour more than its clique number
+    real = divisibility._exact_coloring
+
+    def wasteful(adj, mask, omega):
+        colors, om = real(adj, mask, omega)
+        colors = list(colors)
+        colors[max(bits(mask))] = om
+        return colors, om
+
+    monkeypatch.setattr(divisibility, "_exact_coloring", wasteful)
+    p3 = emit_graph6(Graph.path(3))
+    message = "perfect layer did not colour with omega colours"
+    code, out, err = run_cli(["color", "-"], capsys, stdin=p3 + "\n", monkeypatch=monkeypatch)
+    assert (code, err) == (1, "")
+    assert payload(out)["results"] == [{"graph6": p3, "error": message}]
+    code, out, err = run_cli(["verify", "--check", "chi-audit", "--corpus", "-"], capsys,
+                             stdin=p3 + "\n", monkeypatch=monkeypatch)
+    assert (code, err) == (1, "")
+    [report] = payload(out)["results"]
+    assert report["counterexamples"] == [{"graph6": p3, "detail": {"certificate": message}}]
 
 
 def test_verify_writes_its_envelope_when_a_certificate_fails(capsys, monkeypatch):

@@ -55,6 +55,36 @@ def test_rejects_bits_beyond_n():
         Graph(2, (0b110, 0b001))
 
 
+P3 = Graph.path(3)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Graph(129, (0,) * 129), ValueError, "vertex count 129 outside 0..128"),
+        (lambda: Graph(-1, ()), ValueError, "vertex count -1 outside 0..128"),
+        (lambda: Graph(3, (0, 0)), ValueError, "adjacency row count does not match n"),
+        (lambda: Graph.from_edges(3, [(0, 1), (2, 2)]), ValueError, "self-loop at vertex 2"),
+        (lambda: Graph.from_edges(3, [(0, 3)]), ValueError, "edge (0,3) out of range for n=3"),
+        (lambda: Graph.from_edges(3, [(-1, 2)]), ValueError, "edge (-1,2) out of range for n=3"),
+        (lambda: Graph.cycle(2), ValueError, "cycle needs at least 3 vertices"),
+        (lambda: P3.neighborhood(3), IndexError, "vertex 3 out of range for n=3"),
+        (lambda: P3.non_neighborhood(-1), IndexError, "vertex -1 out of range for n=3"),
+        (lambda: P3.induced(0b1001), IndexError, "subset mask has bits outside the vertex range"),
+        (lambda: P3.relabel((0, 1, 1)), ValueError, "not a permutation of the vertex range"),
+        (lambda: P3.relabel((0, 1)), ValueError, "not a permutation of the vertex range"),
+    ],
+    ids=["n-over-cap", "n-negative", "row-count", "edge-self-loop", "edge-past-n",
+         "edge-negative", "short-cycle", "neighborhood", "non-neighborhood", "induced",
+         "relabel-repeat", "relabel-short"],
+)
+def test_constructor_and_accessor_guards(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
 def test_every_construction_validates_once(monkeypatch):
     # perfbench's tracer counts constructions by wrapping __post_init__ on the class
     calls = []

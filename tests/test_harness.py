@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import types
 from itertools import combinations
 from unittest import mock
 
@@ -88,7 +89,7 @@ def symmetric_parents(draw):
 def test_orbit_pruning_skips_only_isomorphic_children(parent):
     # the least neighbourhood of each brute-force orbit is labelled, and every
     # skipped one lies in the orbit of a smaller one, with an isomorphic child
-    labelled = set(harness._least_in_orbit(parent.adj, harness._label(parent.adj)[1]))
+    labelled = set(harness._least_under_generators(parent.adj, harness._label(parent.adj)[1]))
     group = bruteforce.automorphisms(parent)
     keys: dict[int, tuple] = {}
     for nb in range(1 << parent.n):
@@ -546,6 +547,47 @@ def test_t8_failure_names_host_vertices(g, detail, monkeypatch):
     monkeypatch.setattr(harness, "_free", lambda g, name: True)
     monkeypatch.setattr(harness, "_homogeneous", lambda g: None)
     assert CHECKS["T8"].evaluate(g).failure == detail
+
+
+def _k23_witness(g, pat, name):
+    return types.SimpleNamespace(mapping=(4, 0, 1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "check, g, stubs, tags, detail",
+    [
+        # granted {fork,P6}-free, no division and no homogeneous set: both
+        # directions apply, and the direct one fails
+        ("T1", Graph.path(3), {"_free": True, "_pd_exact": False, "_homogeneous": None},
+         ("direct", "contrapositive"), {"perfectly_divisible": False, "homogeneous_set": None}),
+        ("T2", Graph.path(3), {"_free": True, "_pd_exact": False}, (),
+         {"perfectly_divisible": False}),
+        ("T5", Graph.complete_bipartite(2, 3),
+         {"_free": True, "_homogeneous": None, "find_induced": _k23_witness}, (),
+         {"k23_witness": [4, 0, 1, 2, 3]}),
+        # no vertex of the Grötzsch graph has a perfect non-neighbourhood
+        ("T6", parse_graph6("JhdLA_gc?N_"), {"_free": lambda g, name: name != "claw",
+                                             "_homogeneous": None}, (),
+         {"no_vertex_with_perfect_non_neighborhood": True}),
+        ("T9", Graph.path(3), {"is_perfectly_divisible_exact": False}, (),
+         {"line_graph_not_perfectly_divisible": True}),
+        ("T10", Graph.path(3), {"_free": True, "_pd_exact": False}, (),
+         {"perfectly_divisible": False}),
+    ],
+    ids=["T1", "T2", "T5", "T6", "T9", "T10"],
+)
+def test_failed_check_reports_its_detail(check, g, stubs, tags, detail, monkeypatch):
+    # each theorem holds on every graph, so grant the hypothesis and refute
+    # the conclusion through the facts the check reads
+    assert run_check(CHECKS[check], [g], "one graph").passed
+    for name, value in stubs.items():
+        stub = value if callable(value) else lambda *args, value=value: value
+        monkeypatch.setattr(harness, name, stub)
+    out = CHECKS[check].evaluate(g)
+    assert out.matched
+    assert out.tags == tags
+    assert out.failure == detail
+    assert list(out.failure) == list(detail)
 
 
 def test_t9_checks_every_line_graph_exactly(monkeypatch):
