@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 
 from . import __version__, formats
 from .divisibility import _line_graph, color_by_division, divide_weighted, line_graph_division
@@ -58,35 +59,49 @@ def _infer_format(path: str, explicit: str | None) -> str:
     return explicit or _SUFFIXES.get(dot + ext, "g6")
 
 
-def _read_graphs(path: str, fmt: str | None):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(path, "r", encoding="ascii") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise _UsageError(f"cannot read {path}: {exc}") from exc
-    fmt = _infer_format(path, fmt)
-    try:
-        if fmt == "g6":
-            graphs = formats.parse_graph6_lines(text)
-        elif fmt == "dimacs":
-            graphs = [formats.parse_dimacs(text)]
-        else:
-            graphs = [formats.parse_edgelist(text)]
-    except formats.FormatError as exc:
-        raise _UsageError(f"{path}: {exc}") from exc
-    if not graphs:
-        raise _UsageError(f"{path}: no graphs found")
+def _parse_input(path: str, fmt: str | None, meta: dict):
+    """Yield (graph6, graph) per graph of the input, a graph6 line parsed as it is read,
+    then fill meta with path, format and the SHA-256 of the text as text mode reads it.
+    The graph6 is the stripped line, or emit_graph6's where that differs (a "~" header
+    on fewer than 63 vertices) or the input is not graph6."""
     import hashlib  # here, so that `gen` and `verify --all` do not load it
-    meta = {
-        "path": path,
-        "format": fmt,
-        "sha256": hashlib.sha256(text.encode("ascii")).hexdigest(),
-        "graphs": len(graphs),
-    }
-    return graphs, meta
+    fmt, digest, lines, g = _infer_format(path, fmt), hashlib.sha256(), [], None
+    try:
+        source = nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb")
+    except OSError as exc:
+        raise _UsageError(f"cannot read {path}: {exc}") from exc
+    with source as fh:
+        ln = 0
+        for chunk in fh:  # a byte over 127 decodes to a lone surrogate
+            text = chunk.decode("ascii", "surrogateescape")
+            for ln, line in enumerate(text.splitlines(), ln + 1):  # as splitlines numbers all
+                if not line.isascii():
+                    byte = ord(next(ch for ch in line if not ch.isascii())) - 0xDC00
+                    raise _UsageError(f"{path}: line {ln}: byte {byte:#04x} is not ASCII")
+                if fmt != "g6":
+                    lines.append(line)
+                elif line := line.strip():
+                    try:
+                        g = formats.parse_graph6(line)
+                    except formats.FormatError as exc:
+                        raise _UsageError(f"{path}: line {ln}: {exc}") from exc
+                    yield formats.emit_graph6(g) if line[0] == "~" and g.n < 63 else line, g
+            digest.update(text.replace("\r\n", "\n").replace("\r", "\n").encode("ascii"))
+    if fmt != "g6":
+        try:
+            g = (formats.parse_dimacs if fmt == "dimacs" else formats.parse_edgelist)("\n".join(lines))
+        except formats.FormatError as exc:
+            raise _UsageError(f"{path}: {exc}") from exc
+        yield formats.emit_graph6(g), g
+    if g is None:
+        raise _UsageError(f"{path}: no graphs found")
+    meta.update(path=path, format=fmt, sha256=digest.hexdigest())
+
+
+def _read_graphs(path: str, fmt: str | None):
+    """Every (graph6, graph) pair of the input, parsed in full, and its metadata."""
+    pairs = list(_parse_input(path, fmt, meta := {}))
+    return pairs, {**meta, "graphs": len(pairs)}
 
 
 def _envelope(command: str, input_meta, results, started: float | None):
@@ -97,7 +112,7 @@ def _envelope(command: str, input_meta, results, started: float | None):
         "command": command,
         "input": input_meta,
         "results": results,
-        "timing_s": None if started is None else round(time.perf_counter() - started, 3),
+        "timing_s": None if started is None else lambda: round(time.perf_counter() - started, 3),
     }
 
 
@@ -127,22 +142,30 @@ def _json(o, nl="\n") -> str:
 
 def _emit(payload) -> None:
     """Write json.dump(payload, sys.stdout, indent=2) and a newline, byte for
-    byte, with one write per item of a top-level list (each results row)."""
+    byte, with one write per item of a top-level list (each results row).  A
+    top-level iterator is written as a list, each item as it is yielded, and
+    a top-level callable as what it returns once the values before it are out."""
     write = sys.stdout.write
     if type(payload) is not dict or not payload or not all(type(k) is str for k in payload):
         write(_json(payload) + "\n")
         return
     for i, (key, value) in enumerate(payload.items()):
         write(f"{',' if i else '{'}\n  {_str(key)}: ")
-        items = value if type(value) is list and value else ()
-        for j, item in enumerate(items):
-            write(("," if j else "[") + "\n    " + _json(item, "\n    "))
-        write("\n  ]" if items else _json(value, "\n  "))
+        value = value() if callable(value) else value
+        if type(value) is list or hasattr(value, "__next__"):  # a list, or a generator
+            sep = "["
+            for item in value:
+                write(sep + "\n    " + _json(item, "\n    "))
+                sep = ","
+            write("[]" if sep == "[" else "\n  ]")
+        else:
+            write(_json(value, "\n  "))
     write("\n}\n")
 
 
-def _batch(args, graphs, meta, started, answer, blank=()):
-    """Emit one row per graph, graph6 first, then the fields answer(g) returns.
+def _batch(args, started, answer, blank=(), read=None):
+    """Write each input graph's row as soon as it is answered, keeping no list of
+    rows: graph6, then the fields answer(graph) returns.  read: (pairs, meta), if read.
 
     The error-row policy of every per-graph command: a graph over a cap or
     invalid for the command (CapacityError, ValueError) becomes a row whose
@@ -151,25 +174,28 @@ def _batch(args, graphs, meta, started, answer, blank=()):
     2 outranks 1.  On an exception the blank fields are set to null ahead
     of "error".
     """
-    results = []
+    pairs, meta = read or _read_graphs(args.input, args.format)
     code = 0
-    for g in graphs:
-        row = {"graph6": formats.emit_graph6(g)}
-        try:
-            row.update(answer(g))
-        except (CapacityError, ValueError, InvariantError) as exc:
-            row.update(dict.fromkeys(blank), error=str(exc))
-            code = max(code, 1 if isinstance(exc, InvariantError) else 2)
-        else:
-            if "error" in row:
-                code = max(code, 1)
-        results.append(row)
-    _emit(_envelope(args.command, meta, results, started))
+
+    def rows():
+        nonlocal code
+        for graph6, g in pairs:
+            row = {"graph6": graph6}
+            try:
+                row.update(answer(g))
+            except (CapacityError, ValueError, InvariantError) as exc:
+                row.update(dict.fromkeys(blank), error=str(exc))
+                code = max(code, 1 if isinstance(exc, InvariantError) else 2)
+            else:
+                if "error" in row:
+                    code = max(code, 1)
+            yield row
+
+    _emit(_envelope(args.command, meta, rows(), started))
     return code
 
 
 def _cmd_detect(args, started):
-    graphs, meta = _read_graphs(args.input, args.format)
     pat = pattern(args.pattern)
 
     def answer(g):
@@ -177,12 +203,11 @@ def _cmd_detect(args, started):
         return {"pattern": args.pattern, "present": w is not None,
                 "witness": list(w.mapping) if w else None}
 
-    return _batch(args, graphs, meta, started, answer)
+    return _batch(args, started, answer)
 
 
 def _cmd_classify(args, started):
-    graphs, meta = _read_graphs(args.input, args.format)
-    return _batch(args, graphs, meta, started, lambda g: classify(g).to_json())
+    return _batch(args, started, lambda g: classify(g).to_json())
 
 
 def _load_weights(path: str, n: int):
@@ -199,12 +224,12 @@ def _load_weights(path: str, n: int):
 
 
 def _cmd_divide(args, started):
-    graphs, meta = _read_graphs(args.input, args.format)
+    pairs, meta = _read_graphs(args.input, args.format)
     weights = None
     if args.weights:
-        if len(graphs) != 1:
+        if len(pairs) != 1:
             raise _UsageError("--weights applies to a single-graph input")
-        weights = _load_weights(args.weights, graphs[0].n)
+        weights = _load_weights(args.weights, pairs[0][1].n)
 
     def answer(g):
         d = perfect_division(g) if weights is None else divide_weighted(g, weights)
@@ -212,12 +237,11 @@ def _cmd_divide(args, started):
             return {"division": None, "error": "no perfect division exists"}
         return {"division": d.to_json()}
 
-    return _batch(args, graphs, meta, started, answer, blank=("division",))
+    return _batch(args, started, answer, ("division",), (pairs, meta))
 
 
 def _cmd_color(args, started):
-    graphs, meta = _read_graphs(args.input, args.format)
-    return _batch(args, graphs, meta, started, lambda g: color_by_division(g).to_json())
+    return _batch(args, started, lambda g: color_by_division(g).to_json())
 
 
 _ORACLES = {
@@ -230,10 +254,9 @@ _ORACLES = {
 
 
 def _cmd_oracle(args, started):
-    graphs, meta = _read_graphs(args.input, args.format)
     field = args.question.replace("-", "_")
     oracle = _ORACLES[args.question]
-    return _batch(args, graphs, meta, started, lambda g: {field: oracle(g)}, blank=(field,))
+    return _batch(args, started, lambda g: {field: oracle(g)}, blank=(field,))
 
 
 def _cmd_gen(args, started):
@@ -255,8 +278,9 @@ def _cmd_verify(args, started):
         raise _UsageError(
             f"unknown check {args.check!r}; pick from {', '.join(CHECKS)} or all"
         )
-    if args.corpus:
-        graphs, meta = _read_graphs(args.corpus, args.format)
+    if args.corpus:  # streamed as --all is; meta is filled in once the input is spent
+        meta = {}
+        graphs = (g for _, g in _parse_input(args.corpus, args.format, meta))
         desc = f"corpus {args.corpus}"
     else:
         if args.all < 1:
@@ -266,16 +290,13 @@ def _cmd_verify(args, started):
         desc = f"all graphs on 1..{args.all} vertices"
     ids = None if args.check == "all" else [args.check]
     reports = run_all(graphs, desc, ids)
-    if not args.corpus:  # counted as the stream ran: every check scans every graph
-        meta["graphs"] = reports[0].graphs_scanned
+    meta["graphs"] = reports[0].graphs_scanned  # as the stream ran: every check scans every graph
     results = [r.to_json(include_timing=args.timing) for r in reports]
     _emit(_envelope("verify", meta, results, started))
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_linegraph(args, started):
-    graphs, meta = _read_graphs(args.input, args.format)
-
     def answer(g):
         lg, edge_list, d = line_graph_division(g) if args.divide else (*_line_graph(g), None)
         row = {"line_graph6": formats.emit_graph6(lg), "edge_order": [list(e) for e in edge_list]}
@@ -283,7 +304,7 @@ def _cmd_linegraph(args, started):
             row["division"] = d.to_json()
         return row
 
-    return _batch(args, graphs, meta, started, answer)
+    return _batch(args, started, answer)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -179,16 +179,19 @@ def _exact_coloring(adj, mask, omega=None):
     adj = [row & mask for row in adj]
     degrees = [row.bit_count() for row in adj]
 
-    def pick(uncolored):
-        return min(bits(uncolored), key=lambda v: (
-            -sum(1 for cls in classes if cls & adj[v]), -degrees[v], v))
-
     def solve(uncolored):
         nonlocal best
         if not uncolored:
             best = classes.copy()
             return
-        v = pick(uncolored)
+        v = top_key = -1
+        for u in bits(uncolored):  # ascending, so a tie keeps the lowest index
+            key = degrees[u]  # below SEARCH_CAP, so one more class met outweighs any degree
+            for cls in classes:
+                if cls & adj[u]:
+                    key += SEARCH_CAP
+            if key > top_key:
+                v, top_key = u, key
         bit = 1 << v
         used_k = len(classes)
         for c in range(used_k):
@@ -301,5 +304,6 @@ def is_perfect_induced(g: Graph, mask: int) -> bool:
     """Whether G[mask] has no odd hole and no odd antihole."""
     if mask & ~g.vertex_mask:
         raise IndexError("subset mask has bits outside the vertex range")
-    return (_first_odd_hole(g.adj, mask) is None
-            and _first_odd_hole(_co_rows(g.adj, mask), mask) is None)
+    return mask.bit_count() < 5 or (  # fewer vertices hold no odd hole or antihole
+        _first_odd_hole(g.adj, mask) is None
+        and _first_odd_hole(_co_rows(g.adj, mask), mask) is None)

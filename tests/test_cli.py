@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import forkdiv
-from forkdiv import cli, divisibility, harness
+from forkdiv import cli, divisibility, formats, harness
 from forkdiv.cli import main
 from forkdiv.formats import emit_graph6, parse_graph6
 from forkdiv.graph import Graph, are_isomorphic, bits
@@ -27,9 +27,14 @@ C5 = emit_graph6(Graph.cycle(5))          # "DqK" shape; derived via emit
 MYCIELSKI = "JhdLA_gc?N_"                 # triangle-free, chi = 4, no division
 
 
-def run_cli(argv, capsys, stdin: str | None = None, monkeypatch=None):
+def stdin_of(data: str | bytes):
+    # the CLI reads the bytes under sys.stdin, as a terminal or pipe gives them
+    return io.TextIOWrapper(io.BytesIO(data.encode() if isinstance(data, str) else data))
+
+
+def run_cli(argv, capsys, stdin: str | bytes | None = None, monkeypatch=None):
     if stdin is not None:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        monkeypatch.setattr(sys, "stdin", stdin_of(stdin))
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
@@ -385,6 +390,53 @@ def test_verify_all_streams_the_sweep_into_the_run(capsys, monkeypatch):
     assert payload(out)["input"]["graphs"] == yielded[0] - 1 == 1252
 
 
+def test_verify_corpus_streams_its_input_into_the_run(capsys, monkeypatch):
+    # the first check runs on the first block, so `verify --corpus` never
+    # parses the whole corpus into a list before it checks anything
+    parsed, at_first_check = [0], []
+    parse, t10 = formats.parse_graph6, harness.CHECKS["T10"]
+
+    def counted(line):
+        parsed[0] += 1
+        return parse(line)
+
+    def evaluate(g):
+        if not at_first_check:
+            at_first_check.append(parsed[0])
+        return t10.evaluate(g)
+
+    monkeypatch.setattr(formats, "parse_graph6", counted)
+    monkeypatch.setitem(harness.CHECKS, "T10", t10._replace(evaluate=evaluate))
+    corpus = "".join(emit_graph6(g) + "\n" for g in graphs_up_to(7))
+    code, out, _ = run_cli(["verify", "--check", "T10", "--corpus", "-"], capsys,
+                           stdin=corpus, monkeypatch=monkeypatch)
+    assert code == 0
+    assert at_first_check == [harness.BLOCK]
+    meta = payload(out)["input"]
+    assert list(meta.items()) == [("path", "-"), ("format", "g6"),
+                                  ("sha256", hashlib.sha256(corpus.encode()).hexdigest()),
+                                  ("graphs", 1252)]
+    assert parsed[0] == 1252
+
+
+def test_verify_corpus_with_a_bad_line_after_the_first_block_writes_nothing(capsys, monkeypatch):
+    # checks have run on the first block when the bad line is met, but the
+    # envelope is written only after the run, so none goes out
+    checked, t10 = [], harness.CHECKS["T10"]
+    monkeypatch.setitem(harness.CHECKS, "T10", t10._replace(
+        evaluate=lambda g: checked.append(g) or t10.evaluate(g)))
+    corpus = "".join(emit_graph6(g) + "\n" for g in graphs_up_to(5)) * 3 + "bogus!!\n"
+    code, out, err = run_cli(["verify", "--check", "T10", "--corpus", "-"], capsys,
+                             stdin=corpus, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert len(checked) == 2 * harness.BLOCK  # the blocks before the bad line's
+    assert err == "forkdiv: -: line 157: graph6 body for n=35 needs 100 bytes, got 6 (offset 1)\n"
+
+    code, out, err = run_cli(["verify", "--check", "T10", "--corpus", "-"], capsys,
+                             stdin="\n \n", monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "forkdiv: -: no graphs found\n")
+
+
 def test_verify_is_byte_deterministic(capsys):
     assert main(["verify", "--check", "all", "--all", "4"]) == 0
     first, _ = capsys.readouterr()
@@ -447,11 +499,79 @@ def test_emit_writes_one_row_at_a_time(monkeypatch):
     writes = []
     monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
     graphs = graphs_up_to(5)[:50]
-    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(emit_graph6(g) + "\n" for g in graphs)))
+    monkeypatch.setattr(sys, "stdin", stdin_of("".join(emit_graph6(g) + "\n" for g in graphs)))
     assert main(["color", "-"]) == 0
     assert len(writes) >= 50
     assert max(w.count('"graph6"') for w in writes) == 1
     assert len(json.loads("".join(writes))["results"]) == 50
+
+
+def test_rows_are_written_as_they_are_answered(monkeypatch):
+    # C17 is over the odd-hole cap: its error row keeps its place between the
+    # two small graphs, and every row is out before the next graph is answered
+    writes, rows_out = [], []
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
+    real = cli.color_by_division
+
+    def watched(g):
+        rows_out.append(sum(w.count('"graph6"') for w in writes))
+        return real(g)
+
+    monkeypatch.setattr(cli, "color_by_division", watched)
+    big = emit_graph6(Graph.cycle(17))
+    monkeypatch.setattr(sys, "stdin", stdin_of(f"{C5}\n{big}\n{MYCIELSKI}\n"))
+    assert main(["color", "-"]) == 2
+    assert rows_out == [0, 1, 2]
+    first, over, last = json.loads("".join(writes))["results"]
+    assert first["graph6"] == C5 and first["palette"] == 3 and "error" not in first
+    assert over == {"graph6": big, "error": "find_odd_hole: graph has 17 vertices, cap is 16"}
+    assert last["graph6"] == MYCIELSKI and "error" not in last
+
+
+def test_timing_is_read_after_the_last_row(capsys, monkeypatch):
+    # a clock that only the colouring moves: timing_s covers every row
+    ticks = [0.0]
+    real = cli.color_by_division
+
+    def slow(g):
+        ticks[0] += 1.5
+        return real(g)
+
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: ticks[0]))
+    monkeypatch.setattr(cli, "color_by_division", slow)
+    code, out, _ = run_cli(["--timing", "color", "-"], capsys, stdin=f"{C5}\n{C5}\n",
+                           monkeypatch=monkeypatch)
+    assert code == 0
+    data = payload(out)
+    assert list(data)[-1] == "timing_s" and data["timing_s"] == 3.0
+
+
+def test_a_row_carries_its_stripped_input_line(capsys, monkeypatch):
+    # graph6 lines are echoed, not written again: only a "~" header on fewer
+    # than 63 vertices comes back, as before, in emit_graph6's one-byte form
+    long_c5 = "~??D" + C5[1:]
+    p63 = emit_graph6(Graph.path(63))
+    emitted = []
+    monkeypatch.setattr(formats, "emit_graph6", lambda g: emitted.append(g) or emit_graph6(g))
+    code, out, _ = run_cli(["oracle", "omega", "-"], capsys,
+                           stdin=f"  {C5}\t\n\n{long_c5}\r\n{p63}\n", monkeypatch=monkeypatch)
+    assert code == 0
+    assert payload(out)["results"] == [
+        {"graph6": C5, "omega": 2}, {"graph6": C5, "omega": 2}, {"graph6": p63, "omega": 2},
+    ]
+    assert emitted == [Graph.cycle(5)]
+
+
+@pytest.mark.parametrize("name, text", [
+    ("p3.dimacs", "p edge 3 2\ne 1 2\ne 2 3\n"),
+    ("p3.edges", "1 2\n0 1\n"),
+])
+def test_dimacs_and_edge_list_rows_carry_the_emitted_graph6(name, text, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["oracle", "omega", str(path)]) == 0
+    out, _ = capsys.readouterr()
+    assert payload(out)["results"] == [{"graph6": emit_graph6(Graph.path(3)), "omega": 2}]
 
 
 def test_verify_from_corpus_file(tmp_path, capsys):
@@ -618,6 +738,18 @@ def test_empty_input_is_usage_error(capsys, monkeypatch):
     code, _, err = run_cli(["classify", "-"], capsys, stdin="", monkeypatch=monkeypatch)
     assert code == 2
     assert "no graphs" in err
+
+
+@pytest.mark.parametrize("on_stdin", [True, False], ids=["stdin", "file"])
+def test_non_ascii_input_names_the_input_line_and_byte(on_stdin, tmp_path, capsys, monkeypatch):
+    data = b"Bw\nB\xc3w\n"
+    path = tmp_path / "bad.g6"
+    path.write_bytes(data)
+    name = "-" if on_stdin else str(path)
+    code, out, err = run_cli(["detect", "--pattern", "fork", name], capsys,
+                             stdin=data if on_stdin else None, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == f"forkdiv: {name}: line 2: byte 0xc3 is not ASCII\n"
 
 
 def test_format_inference_and_override(tmp_path, capsys):
