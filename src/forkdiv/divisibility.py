@@ -10,7 +10,8 @@ maximum-weight clique of H finds one or proves that none exists.
 perfect_division tests G for perfection, then runs the same engine under
 unit weights.  The 2**n tables serve exact divisibility alone.
 color_by_division peels its layers as masks of the host.  Every returned
-division is first re-derived by one certificate check, _certify.
+division is first re-derived by _certify; a perfect-whole one passes all of
+its checks but perfection, which the test that chose it has just proved.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class Division(namedtuple("Division", "a b strategy omega_b omega pivot omega_w_
             "b": list(bits(self.b)),
             "strategy": self.strategy,
             "certificate": {
-                "a_is_perfect": True,  # _certify refuses an imperfect A
+                "a_is_perfect": True,  # perfect-whole's own test, else _certify
                 "omega_b": self.omega_b,
                 "omega": self.omega,
             },
@@ -56,18 +57,24 @@ class Division(namedtuple("Division", "a b strategy omega_b omega pivot omega_w_
         return out
 
 
-def _certify(g, a, b, strategy, pivot=None, w=None, within=None, omega=None,
-             omega_w=None) -> Division:
-    """Assemble a Division of G[within] (default: all of G), re-deriving its
-    certificate from the oracles: a and b partition within, G[a] is perfect,
-    and omega drops on b (when within is nonempty) or, under weights w, the
-    max clique weight does; omega(G[within]) and its max clique weight
+def _certify(g, a, b, strategy, *args, **kwargs) -> Division:
+    """_division's split, once the oracle re-derives that G[a] is perfect."""
+    d = _division(g, a, b, strategy, *args, **kwargs)
+    if not is_perfect_induced(g, a):
+        raise InvariantError(f"{strategy}: side A is not perfect (a={sorted(bits(a))})")
+    return d
+
+
+def _division(g, a, b, strategy, pivot=None, w=None, within=None, omega=None,
+              omega_w=None) -> Division:
+    """Assemble a Division of G[within] (default: all of G), re-deriving from
+    the oracles all of its certificate but A's perfection: a and b partition
+    within, and omega drops on b (when within is nonempty) or, under weights
+    w, the max clique weight does; omega(G[within]) and its max clique weight
     omega_w may come from the caller, which searched them already."""
     within = g.vertex_mask if within is None else within
     if a & b or (a | b) != within:
         raise InvariantError(f"{strategy}: sides do not partition the vertex set")
-    if not is_perfect_induced(g, a):
-        raise InvariantError(f"{strategy}: side A is not perfect (a={sorted(bits(a))})")
     omega_b = _max_clique_size(g.adj, b)
     omega = _max_clique_size(g.adj, within) if omega is None else omega
     omega_w_b = None
@@ -102,8 +109,8 @@ def perfect_division(g: Graph) -> Division | None:
 def _divide_mask(g, mask, omega=None):
     """perfect_division of G[mask], with both sides as masks of g, and
     omega(G[mask]), searched unless the caller knows it already."""
-    if is_perfect_induced(g, mask):
-        d = _certify(g, mask, 0, "perfect-whole", within=mask, omega=omega)
+    if is_perfect_induced(g, mask):  # this layer's one perfection proof
+        d = _division(g, mask, 0, "perfect-whole", within=mask, omega=omega)
         return d, d.omega
     omega = _max_clique_size(g.adj, mask) if omega is None else omega
     res = _divide_support(g, mask, None, omega)

@@ -9,6 +9,8 @@ oracle results keyed on the graph itself.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .limits import CANONICAL_CAP, CapacityError
 
 MAX_VERTICES = 128
@@ -27,6 +29,20 @@ def mask_of(vertices) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+@cache
+def _swap_masks(s: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) per block swap transposing an s x s bit matrix (bit c of
+    row r at r*s + c; Hacker's Delight 7-3): at width j, (r, c) with bit j of
+    c set and of r clear trades with (r + j, c - j); repunits tile the masks."""
+    def tile(x, period, width):  # x repeated every period bits across width bits
+        return x * (((1 << width) - 1) // ((1 << period) - 1))
+    swaps = []
+    for j in (1 << k for k in range(s.bit_length() - 1)):
+        cols = tile((1 << j) - 1 << j, 2 * j, s)  # the columns with bit j set
+        swaps.append((j * (s - 1), tile(tile(cols, s, j * s), 2 * j * s, s * s)))
+    return tuple(swaps)
 
 
 class Graph:
@@ -60,25 +76,27 @@ class Graph:
         return Graph, (self.n, self.adj)
 
     def __post_init__(self):
-        """Validate n and adj; perfbench's tracer counts constructions here."""
+        """Validate n and adj; perfbench's tracer counts constructions here.
+        The rows, packed at a power-of-two stride, must equal their transpose."""
         if not 0 <= self.n <= MAX_VERTICES:
             raise ValueError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count does not match n")
-        full = (1 << self.n) - 1
+        stride, packed = 1 << (self.n - 1).bit_length(), 0
         for v, row in enumerate(adj := self.adj):
-            if row & ~full:
+            if row >> self.n:
                 raise ValueError(f"adjacency row {v} has bits outside 0..{self.n - 1}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v, row in enumerate(adj):
-            col = 0  # column v above the diagonal, as a row below it
-            for u in range(v):
-                col |= (adj[u] >> v & 1) << u
-            if col != row & ((1 << v) - 1):
-                v, u = next((v, u) for v, row in enumerate(adj) for u in bits(row)
-                            if not adj[u] >> v & 1)
-                raise ValueError(f"asymmetric edge {v}-{u}")
+            packed |= row << v * stride
+        t = packed
+        for shift, mask in _swap_masks(stride):
+            x = (t >> shift ^ t) & mask
+            t ^= x ^ x << shift
+        if t != packed:
+            v, u = next((v, u) for v, row in enumerate(adj) for u in bits(row)
+                        if not adj[u] >> v & 1)
+            raise ValueError(f"asymmetric edge {v}-{u}")
 
     # -- constructors -------------------------------------------------
 

@@ -457,6 +457,7 @@ def test_verify_envelope_is_pinned(capsys):
 @pytest.mark.parametrize("command, digest", [
     ("classify", "e903886768d6bd5c2ffc757eb15b315f18b142872cad035576fdf06074f59cab"),
     ("color", "7c97067675ae1a39bedfea870b08762f0b4dbc3d0f461dce391cc8e33daaae4d"),
+    ("divide", "5a5d938e23a4bf8ceaafc9a58b79555b2749b54b8d4fad2b680fcc2ae2b9f566"),
 ])
 def test_batch_envelope_is_pinned(command, digest, capsys, monkeypatch):
     # every graph on 1..7 vertices, as graph6 lines on stdin

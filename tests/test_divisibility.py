@@ -98,6 +98,29 @@ def test_division_of_perfect_graphs_is_whole():
     assert (d.a, d.b, d.strategy, d.omega_b, d.omega) == (0, 0, "perfect-whole", 0, 0)
 
 
+def test_a_perfect_whole_layer_is_proved_perfect_once(monkeypatch):
+    # the test that chooses perfect-whole is that layer's only perfection
+    # proof; an oracle that calls the whole mask imperfect is obeyed
+    real, calls = divisibility.is_perfect_induced, []
+
+    def counted(g, mask):
+        calls.append(mask)
+        return real(g, mask)
+
+    monkeypatch.setattr(divisibility, "is_perfect_induced", counted)
+    for g in (Graph.path(6), Graph.cycle(6)):
+        for run in (perfect_division, color_by_division):
+            calls.clear()
+            run(g)
+            assert calls == [g.vertex_mask]
+    monkeypatch.setattr(divisibility, "is_perfect_induced",
+                        lambda g, mask: mask != g.vertex_mask and real(g, mask))
+    for g in (Graph.path(6), Graph.cycle(6)):
+        d = perfect_division(g)
+        assert d is not None and d.strategy != "perfect-whole"
+        _revalidate(g, d)
+
+
 def test_no_division_for_triangle_free_chi4():
     g = MYCIELSKI_C5
     assert clique_number(g) == 2 and chromatic_number(g) == 4

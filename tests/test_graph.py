@@ -9,7 +9,7 @@ import bruteforce
 from forkdiv.divisibility import Division
 from forkdiv.graph import (Graph, _are_twins, _label, _refine, are_isomorphic, bits, canonical_form,
                            mask_of)
-from forkdiv.harness import Outcome, enumerate_nonisomorphic, graphs_up_to
+from forkdiv.harness import Outcome, enumerate_nonisomorphic, graphs_up_to, random_gnp
 from strategies import graphs
 from test_oracles import petersen
 
@@ -43,6 +43,39 @@ def test_symmetry_check_matches_a_row_by_row_scan(g, data):
     else:
         with pytest.raises(ValueError, match=f"^{want}$"):
             Graph(g.n, tuple(adj))
+
+
+_STRIDE_EDGES = [2, 3, 4, 5, 8, 9, 16, 17, 63, 64, 65, 127, 128]
+
+
+@pytest.mark.parametrize("n", _STRIDE_EDGES)
+def test_symmetry_check_at_stride_boundaries(n):
+    # rows are packed at the least power of two >= n, so check the last pair
+    # and pairs across the halves of that stride, which its widest block
+    # swap exchanges, each flipped in one row only
+    half = 1 << (n - 1).bit_length() - 1
+    adj = random_gnp(n, 0.5, n).adj
+    assert Graph(n, adj).adj == adj
+    for u, v in {(n - 2, n - 1), (half - 1, half), (0, n - 1)}:
+        for row, bit in ((u, v), (v, u)):
+            flipped = list(adj)
+            flipped[row] ^= 1 << bit
+            with pytest.raises(ValueError) as exc:
+                Graph(n, tuple(flipped))
+            assert str(exc.value) == first_asymmetry(flipped)
+
+
+@pytest.mark.parametrize("n", _STRIDE_EDGES)
+def test_row_checks_win_over_asymmetry(n):
+    # an asymmetric pair in row 0, then a self-loop or a bit past n-1 later
+    adj = list(random_gnp(n, 0.5, n).adj)
+    adj[0] ^= 1 << (n - 1)
+    loop = adj[:-1] + [adj[-1] | 1 << (n - 1)]
+    with pytest.raises(ValueError, match=f"^self-loop at vertex {n - 1}$"):
+        Graph(n, tuple(loop))
+    wide = adj[:-1] + [adj[-1] | 1 << n]
+    with pytest.raises(ValueError, match=f"^adjacency row {n - 1} has bits outside 0..{n - 1}$"):
+        Graph(n, tuple(wide))
 
 
 def test_rejects_self_loops():
