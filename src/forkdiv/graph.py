@@ -259,21 +259,28 @@ def _are_twins(adj: tuple[int, ...], u: int, v: int) -> bool:
 def _refine(adj: tuple[int, ...]) -> list[int]:
     """Cells of the stable colour-refinement (1-WL) colouring, in colour order.
 
-    Starts from one cell, so the first round splits by degree; each round
-    recolours v by (its colour, the number of its neighbours in each cell)
-    and orders the new colours by that signature, so the cell order is
-    invariant under isomorphism.  The signature leads with the old colour,
-    so a round splits each cell in place; its counts, 4 bits each in one
-    int, order as their tuple (each is at most CANONICAL_CAP - 1 = 9).
-    Stops once the cell count holds.
+    Starts from the degree classes in ascending degree, the cells a first
+    round from one cell would give; each round recolours v by (its colour,
+    the number of its neighbours in each cell) and orders the new colours by
+    that signature, so the cell order is invariant under isomorphism.  The
+    signature leads with the old colour, so a round splits each cell in
+    place, and a single-vertex cell passes through unsplit; its counts, 4
+    bits each in one int, order as their tuple (each is at most
+    CANONICAL_CAP - 1 = 9).  Stops once the cell count holds.
     """
-    n = len(adj)
-    cells = [(1 << n) - 1] if n else []
-    while len(cells) < n:
+    by_degree: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    while len(cells) < len(adj):
         split: list[int] = []
         for cell in cells:
+            if not cell & (cell - 1):
+                split.append(cell)
+                continue
             parts: dict[int, int] = {}
-            rest = cell if cell & (cell - 1) else 0  # a single vertex cannot split
+            rest = cell
             while rest:
                 low = rest & -rest
                 rest ^= low
@@ -293,8 +300,9 @@ def canonical_form(g: Graph) -> bytes:
     """Canonical byte string; equal iff the graphs are isomorphic.
 
     Vertices are first coloured by colour refinement (1-WL): starting from
-    one colour, each vertex is recoloured by its colour and the multiset of its
-    neighbours' colours until the number of colour cells stops growing.
+    the degree classes, each vertex is recoloured by its colour and the
+    multiset of its neighbours' colours until the number of colour cells
+    stops growing.
     Only orderings that list the cells in colour order are searched, so
     position k takes a vertex of the cell covering k; isomorphisms preserve
     that set of orderings, so the key stays a complete invariant.

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import islice
 
 from . import formats
-from .decomposition import find_homogeneous_set
+from .decomposition import _pair_closures
 from .divisibility import is_perfectly_divisible_exact, line_graph_division, color_by_division
 from .graph import MAX_VERTICES, Graph, _are_twins, _label, bits
 from .limits import ENUMERATION_CAP, CapacityError, InvariantError
@@ -139,7 +139,8 @@ def _free(g: Graph, name: str) -> bool:
 
 @lru_cache(maxsize=None)
 def _homogeneous(g: Graph) -> int | None:
-    return find_homogeneous_set(g)
+    # a homogeneous set or None: the checks ask only whether one exists
+    return next(_pair_closures(g), None)
 
 
 @lru_cache(maxsize=None)

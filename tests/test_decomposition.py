@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given
 
 import bruteforce
-from forkdiv.decomposition import find_homogeneous_set, is_homogeneous_set, mixed_vertices
+from forkdiv import harness
+from forkdiv.decomposition import _pair_closures, find_homogeneous_set, is_homogeneous_set, mixed_vertices
 from forkdiv.graph import Graph, mask_of
+from forkdiv.harness import graphs_up_to
 from strategies import graphs
 
 PAW = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
@@ -65,3 +67,27 @@ def test_homogeneity_is_complement_invariant(g):
     if s is not None:
         assert is_homogeneous_set(g.complement(), s)
         assert is_homogeneous_set(g, t)
+
+
+def _assert_homogeneous_fact(g):
+    all_sets = bruteforce.homogeneous_sets(g)
+    harness._homogeneous.cache_clear()
+    s = harness._homogeneous(g)
+    if all_sets:
+        assert s in all_sets
+    else:
+        assert s is None
+    for t in _pair_closures(g):
+        assert t in all_sets
+
+
+def test_homogeneous_fact_matches_subset_scan_on_every_small_graph():
+    # the harness memoises the first proper pair closure: a homogeneous set
+    # exactly when the exhaustive scan finds one, and None otherwise
+    for g in [Graph.empty(0), *graphs_up_to(7)]:
+        _assert_homogeneous_fact(g)
+
+
+@given(graphs())
+def test_homogeneous_fact_matches_subset_scan(g):
+    _assert_homogeneous_fact(g)

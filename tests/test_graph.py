@@ -439,3 +439,33 @@ def test_empty_graph_is_valid_everywhere():
     assert g.edge_count == 0
     assert g.components() == []
     assert canonical_form(g) == canonical_form(Graph.empty(0))
+
+
+def refine_from_one_cell(adj):
+    """Colour refinement written out plainly: start with one colour, recolour
+    each vertex by (its colour, its neighbour count in each colour), rank the
+    distinct signatures, and stop once no colour splits.  Returns one vertex
+    mask per colour, in colour order."""
+    n = len(adj)
+    colour = [0] * n
+    k = 1 if n else 0
+    while True:
+        sigs = [(colour[v], tuple(sum(1 for u in range(n) if adj[v] >> u & 1 and colour[u] == c)
+                                  for c in range(k)))
+                for v in range(n)]
+        ranks = sorted(set(sigs))
+        if len(ranks) == k:
+            break
+        colour = [ranks.index(sig) for sig in sigs]
+        k = len(ranks)
+    return [sum(1 << v for v in range(n) if colour[v] == c) for c in range(k)]
+
+
+def test_refine_matches_a_one_cell_reference():
+    rng = random.Random(7)
+    regular = [Graph.cycle(5), Graph.complete(4), petersen()]
+    for g in [Graph.empty(0), Graph.empty(1), *regular, *graphs_up_to(7)]:
+        assert _refine(g.adj) == refine_from_one_cell(g.adj)
+        h = g.relabel(rng.sample(range(g.n), g.n))
+        assert _refine(h.adj) == refine_from_one_cell(h.adj)
+    assert all(len(_refine(g.adj)) == 1 for g in regular)
