@@ -109,6 +109,8 @@ def parse_dimacs(text: str) -> Graph:
                 raise FormatError(f"line {ln}: non-integer sizes") from None
             if n < 0 or declared_m < 0:
                 raise FormatError(f"line {ln}: negative sizes")
+            if n > MAX_VERTICES:  # refused before Graph.from_edges allocates n rows
+                raise FormatError(f"line {ln}: vertex count {n} above {MAX_VERTICES}")
         elif parts[0] == "e":
             if n is None:
                 raise FormatError(f"line {ln}: edge before problem line")
@@ -155,6 +157,8 @@ def parse_edgelist(text: str, n: int | None = None) -> Graph:
         if u == v:
             raise FormatError(f"line {ln}: self-loop")
         top = max(top, u, v)
+        if top >= MAX_VERTICES:  # refused before Graph.from_edges allocates the rows
+            raise FormatError(f"line {ln}: vertex {top} outside 0..{MAX_VERTICES - 1}")
         edges.append((u, v))
     size = n if n is not None else top + 1
     if top >= size:

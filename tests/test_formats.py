@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -179,6 +180,25 @@ def test_edgelist_golden():
 def test_edgelist_rejects(text, n):
     with pytest.raises(FormatError):
         parse_edgelist(text, n=n)
+
+
+@pytest.mark.parametrize("parse, text, line", [
+    (parse_dimacs, "c big\np edge 2000000 0\n", "line 2: vertex count 2000000 above 128"),
+    (parse_edgelist, "0 1\n0 1999999\n", "line 2: vertex 1999999 outside 0..127"),
+], ids=["dimacs", "edgelist"])
+def test_oversized_sizes_are_refused_at_their_line_before_allocating(parse, text, line):
+    # an n-entry row list for two million vertices took 32 MB before Graph refused n
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == line
+    assert peak < 2**20
+    # the largest size Graph holds still parses
+    assert parse_dimacs("p edge 128 0\n").n == parse_edgelist("0 127\n").n == 128
 
 
 @given(graphs(max_n=7))
