@@ -139,6 +139,8 @@ def emit_dimacs(g: Graph) -> str:
 
 
 def parse_edgelist(text: str, n: int | None = None) -> Graph:
+    if n is not None and not 0 <= n <= MAX_VERTICES:  # refused before any row is built
+        raise FormatError(f"declared size {n} outside 0..{MAX_VERTICES}")
     edges: list[tuple[int, int]] = []
     top = -1
     for ln, raw in enumerate(text.splitlines(), start=1):

@@ -63,6 +63,18 @@ def _sweep(n: int):
     so every level keeps the same graphs in the same order; the generators
     change only how many neighbourhoods are labelled.  Candidates are
     labelled as raw rows; only kept ones become a validated Graph.
+
+    A candidate C from parent i is dropped unlabelled when deleting some old
+    vertex u leaves a degree multiset that only parents before i have.  The
+    parent level holds every (k-1)-vertex graph exactly once, so C - u is
+    isomorphic to some parent j < i, and C to a child of j over the least
+    member of an orbit, which came before C and was labelled, or dropped in
+    turn for a parent earlier still: by induction over the sweep order, a
+    child isomorphic to C was labelled first.  The first candidate of a
+    class is never dropped, since no earlier parent generates that class,
+    so every level keeps the same graphs in the same order, with the same
+    automorphisms.  The argument needs only a complete parent level, which
+    the sweep of a hereditary class has too.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -72,11 +84,15 @@ def _sweep(n: int):
     parents = [((), [])]
     for k in range(1, n + 1):
         top = 1 << (k - 1)
+        # last[ms]: the latest parent whose degree multiset is ms
+        last = {_degree_multiset(adj): i for i, (adj, _) in enumerate(parents)}
         seen, level = set(), []
-        for adj, automorphisms in parents:
+        for i, (adj, automorphisms) in enumerate(parents):
             for nb in _least_under_generators(adj, automorphisms):
                 rows = [row | top if nb >> v & 1 else row for v, row in enumerate(adj)]
                 rows.append(nb)
+                if any(last[ms] < i for ms in _deletion_multisets(rows)):
+                    continue
                 key, found = _label(rows)
                 if key not in seen:
                     seen.add(key)
@@ -85,6 +101,31 @@ def _sweep(n: int):
                         level.append((child.adj, found))
                     yield child
         parents = level
+
+
+def _degree_multiset(rows) -> int:
+    """The degree multiset of the graph with rows, as one int holding a
+    4-bit count per degree value (a count is at most CANONICAL_CAP = 10)."""
+    return sum(1 << 4 * row.bit_count() for row in rows)
+
+
+def _deletion_multisets(rows):
+    """Yields, for each vertex u but the last, _degree_multiset of the rows
+    with u deleted: the whole multiset less u's term, with each neighbour
+    of u moved down one degree."""
+    terms = [1 << 4 * row.bit_count() for row in rows]
+    whole = sum(terms)
+    # drop[w]: what moving a neighbour w down one degree takes off (a
+    # vertex of degree 0 is no one's neighbour)
+    drop = [t - (t >> 4) for t in terms]
+    for u in range(len(rows) - 1):
+        ms = whole - terms[u]
+        row = rows[u]
+        while row:
+            low = row & -row
+            ms -= drop[low.bit_length() - 1]
+            row ^= low
+        yield ms
 
 
 def _least_under_generators(adj, gens) -> list[int] | range:

@@ -201,6 +201,24 @@ def test_oversized_sizes_are_refused_at_their_line_before_allocating(parse, text
     assert parse_dimacs("p edge 128 0\n").n == parse_edgelist("0 127\n").n == 128
 
 
+def test_edgelist_refuses_a_declared_size_outside_the_cap_before_allocating():
+    # an n-entry row list for a declared two million vertices took 30.5 MB
+    # before Graph refused n, and n = -1 was reported as a vertex outside it
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            parse_edgelist("0 1\n", n=2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "declared size 2000000 outside 0..128"
+    assert peak < 2**20
+    with pytest.raises(FormatError) as err:
+        parse_edgelist("0 1\n", n=-1)
+    assert str(err.value) == "declared size -1 outside 0..128"
+    assert parse_edgelist("0 1\n", n=128).n == 128
+
+
 @given(graphs(max_n=7))
 def test_dimacs_and_edgelist_round_trip(g):
     assert parse_dimacs(emit_dimacs(g)) == g

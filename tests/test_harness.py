@@ -45,14 +45,21 @@ def test_enumeration_matches_labeled_enumeration():
         assert len(keys) == len(enumerate_nonisomorphic(n))
 
 
-def test_enumeration_output_is_pinned():
-    # the bytes of `forkdiv gen --all n`: same representatives in the same order
-    for n, expected in [
-        (7, "aa8347fb48e37ddee5f27abd3425aaa093cf5184d787030198f2151ffe63ce52"),
-        (8, "69fda48ed5c789b5945500540fd14b642a77c93379eff11f05401a5ed26b601c"),
+def test_enumeration_output_is_pinned(monkeypatch):
+    # the bytes of `forkdiv gen --all n`: same representatives in the same
+    # order; the level-8 sweep labels 34,666 candidates (85,023 with orbit
+    # pruning alone, before the degree-multiset rejection)
+    calls = []
+    label = harness._label
+    monkeypatch.setattr(harness, "_label", lambda adj: calls.append(adj) or label(adj))
+    for n, expected, labellings in [
+        (7, "aa8347fb48e37ddee5f27abd3425aaa093cf5184d787030198f2151ffe63ce52", 1849),
+        (8, "69fda48ed5c789b5945500540fd14b642a77c93379eff11f05401a5ed26b601c", 34666),
     ]:
+        calls.clear()
         text = "\n".join(emit_graph6(g) for g in enumerate_nonisomorphic(n)) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == expected, n
+        assert len(calls) == labellings, n
 
 
 def test_enumeration_capacity():
@@ -120,21 +127,74 @@ def test_pruned_levels_match_an_unpruned_sweep():
 
 
 def test_enumeration_labels_only_unpruned_candidates(monkeypatch):
-    # a deterministic guard on orbit pruning: building levels 1-7 labels
-    # the 5,759 candidates and no parent again, since the sweep keeps the
-    # automorphisms found when each parent was labelled; the unpruned sweep
-    # labels 11,291 candidates.  Only kept graphs become a Graph, and since
-    # no level outlives a call, a second call labels the same 5,759 again
+    # a deterministic guard on orbit pruning and the degree-multiset
+    # rejection: building levels 1-7 labels 1,849 candidates and no parent
+    # again, since the sweep keeps the automorphisms found when each parent
+    # was labelled; orbit pruning alone labels 5,759 of the unpruned sweep's
+    # 11,291 candidates, and the rejection drops 3,910 of those unlabelled.
+    # Only kept graphs become a Graph, and since no level outlives a call, a
+    # second call labels the same 1,849 again
     calls, built = [], []
     label, validate = harness._label, Graph.__post_init__
     monkeypatch.setattr(harness, "_label", lambda adj: calls.append(adj) or label(adj))
     monkeypatch.setattr(Graph, "__post_init__", lambda g: built.append(g) or validate(g))
     enumerate_nonisomorphic(7)
-    assert len(calls) == 5759
+    assert len(calls) == 1849
     assert len(built) == 1253  # the empty graph and the 1,252 on 1..7 vertices
     calls.clear()
     assert len(graphs_up_to(7)) == 1252
-    assert len(calls) == 5759
+    assert len(calls) == 1849
+
+
+def _swept_candidates(monkeypatch, n):
+    """Runs the sweep to level n and returns its levels, every candidate's
+    rows (as a tuple, in sweep order) and the set of those it labelled."""
+    candidates, labelled = [], set()
+    multisets, label = harness._deletion_multisets, harness._label
+    monkeypatch.setattr(harness, "_deletion_multisets",
+                        lambda rows: candidates.append(tuple(rows)) or multisets(rows))
+    monkeypatch.setattr(harness, "_label", lambda rows: labelled.add(tuple(rows)) or label(rows))
+    levels = [[] for _ in range(n + 1)]
+    for g in harness._sweep(n):
+        levels[g.n].append(g)
+    return levels, candidates, labelled
+
+
+def test_rejection_drops_only_children_kept_from_an_earlier_parent(monkeypatch):
+    # every candidate the sweep drops unlabelled is isomorphic, by the
+    # brute-force canonical form, to a child kept from an earlier parent
+    levels, candidates, labelled = _swept_candidates(monkeypatch, 6)
+    index = {g.adj: i for level in levels for i, g in enumerate(level)}
+
+    def parent_index(rows):
+        top = 1 << (len(rows) - 1)
+        return index[tuple(row & ~top for row in rows[:-1])]
+
+    first_from = {}  # brute-force key -> the parent of the kept child
+    for level in levels[1:]:
+        for g in level:
+            first_from[bruteforce.canonical(g)] = parent_index(g.adj)
+    dropped = [rows for rows in candidates if rows not in labelled]
+    for rows in dropped:
+        assert first_from[bruteforce.canonical(Graph(len(rows), rows))] < parent_index(rows)
+    assert len(dropped) == 437
+    assert len(candidates) - len(dropped) == len(labelled)
+
+
+def test_deletion_multisets_match_a_degree_recount(monkeypatch):
+    # on every level-7 candidate, the multiset the sweep computes for each
+    # old vertex u against the degrees of the rows with u removed, recounted
+    # here pair by pair with a 4-bit count per degree value
+    _, candidates, _ = _swept_candidates(monkeypatch, 7)
+    level7 = [rows for rows in candidates if len(rows) == 7]
+    assert len(level7) == 5096
+    for rows in level7:
+        want = []
+        for u in range(6):
+            rest = [v for v in range(7) if v != u]
+            degrees = [sum(rows[v] >> w & 1 for w in rest) for v in rest]
+            want.append(sum(degrees.count(d) << 4 * d for d in set(degrees)))
+        assert list(harness._deletion_multisets(list(rows))) == want
 
 
 def test_graphs_up_to_is_cumulative():
