@@ -8,7 +8,8 @@ M_H(v) yields S = M_H(v) + v and T = N_H(v) plus the zero-weight vertices;
 failing that, an exhaustive search for a perfect S that meets every
 maximum-weight clique of H finds one or proves that none exists.
 perfect_division tests G for perfection, then runs the same engine under
-unit weights.  The 2**n tables serve exact divisibility alone.
+unit weights.  is_perfectly_divisible_exact asks both strategies of every
+imperfect induced subgraph, its pivot test read off a 2**n odd-hole table.
 color_by_division peels its layers as masks of the host.  Every returned
 division is first re-derived by _certify; a perfect-whole one passes all of
 its checks but perfection, which the test that chose it has just proved.
@@ -197,45 +198,30 @@ def _imperfect_table(g: Graph) -> bytes:
     return x.to_bytes(size, "little")
 
 
-def _omega_table(g: Graph) -> list[int]:
-    """omega(G[m]) for every submask m, by doubling: for m below v,
-    omega[m + v] = max(omega[m], 1 + omega[m & N(v)]), which is omega[m]
-    plus one exactly when omega[m & N(v)] (never larger) equals it."""
-    omega = [0]
-    for v, row in enumerate(g.adj):
-        low = row & ((1 << v) - 1)
-        omega += [o + (omega[m & low] == o) for m, o in enumerate(omega)]
-    return omega
-
-
-def _division_scan(h, omega, imperfect) -> int | None:
-    """The numerically largest submask a of h with G[a] perfect and
-    omega(h - a) < omega(h), or None when G[h] has no division."""
-    om_h = omega[h]
-    a = h
-    while imperfect[a] or omega[h & ~a] >= om_h:
-        if not a:
-            return None
-        a = (a - 1) & h
-    return a
-
-
 def is_perfectly_divisible_exact(g: Graph) -> bool:
     """Whether every induced subgraph admits a division; exhaustive.
 
     Perfection of all 2**n submasks comes from one odd-hole table.  A
-    perfect H divides as A = V(H), B empty, so only the imperfect h need a
-    scan, in descending order, for a perfect submask a with omega(h - a) <
-    omega(h); a perfect G needs none, and no omega table.
+    perfect H divides as A = V(H), B empty, so only the imperfect h need the
+    engine's two strategies, taken in descending order of h.  The table
+    answers the pivot test: a v in h, highest first, whose non-neighbourhood
+    M_h(v) is perfect gives A = M_h(v) + v, perfect since v sees nothing in
+    M_h(v), and omega drops on N_h(v), since every clique there extends by
+    v.  With no such v, _transversal finds a division or proves that G[h]
+    has none.
     """
     if g.n > SEARCH_CAP:
         raise CapacityError("is_perfectly_divisible_exact", g.n, SEARCH_CAP)
     imperfect = _imperfect_table(g)
     h = imperfect.rfind(1)
-    omega = _omega_table(g) if h > 0 else None
+    co = _co_rows(g.adj, g.vertex_mask) if h > 0 else None
     while h > 0:
-        if _division_scan(h, omega, imperfect) is None:
-            return False
+        for v in range(h.bit_length() - 1, -1, -1):
+            if h >> v & 1 and not imperfect[h & co[v]]:
+                break
+        else:
+            if _transversal(g, h, None, _max_clique_size(g.adj, h), 0, 0) is None:
+                return False
         h = imperfect.rfind(1, 0, h)
     return True
 

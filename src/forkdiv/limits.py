@@ -3,10 +3,11 @@
 Three fixed vertex caps, sized for the verification corpora (graphs up to
 9 vertices, line graphs up to 15), with no per-call override: CANONICAL_CAP
 for canonical labelling and isomorphism, ENUMERATION_CAP for enumeration,
-and SEARCH_CAP for the odd-hole, exact-colouring and submask-table searches
-(a table has at most 65,536 entries).  The clique value and witness
-searches, unit-weight or weighted, and with them the independence number,
-are uncapped, and so are `classify` and `oracle omega|alpha`.
+and SEARCH_CAP for the odd-hole and exact-colouring searches and the
+odd-hole table of exact divisibility (at most 65,536 entries).  The clique
+value and witness searches, unit-weight or weighted, and with them the
+independence number, are uncapped, and so are `classify` and
+`oracle omega|alpha`.
 """
 
 CANONICAL_CAP = 10

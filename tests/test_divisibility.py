@@ -9,9 +9,7 @@ from forkdiv import divisibility, formats, oracles
 from forkdiv.divisibility import (
     _certify,
     _divide_mask,
-    _division_scan,
     _imperfect_table,
-    _omega_table,
     _transversal,
     color_by_division,
     divide_weighted,
@@ -20,7 +18,7 @@ from forkdiv.divisibility import (
     perfect_division,
 )
 from forkdiv.graph import Graph, bits, mask_of
-from forkdiv.harness import random_gnp
+from forkdiv.harness import graphs_up_to, random_gnp
 from forkdiv.limits import CapacityError, InvariantError
 from forkdiv.oracles import (
     _max_clique_size,
@@ -145,35 +143,6 @@ def test_no_division_for_triangle_free_chi4():
 def test_certify_rejects_bad_divisions(g, a, b, w, message):
     with pytest.raises(InvariantError, match=message):
         _certify(g, a, b, "golden", w=w)
-
-
-def _largest_division_side(g):
-    perfect, omega = bruteforce.perfect_table(g), bruteforce.omega_table(g)
-    full = g.vertex_mask
-    return max(
-        (a for a in range(full + 1) if perfect[a] and omega[full & ~a] < omega[full]),
-        default=None,
-    )
-
-
-@given(graphs(min_n=1))
-def test_division_scan_finds_a_division_iff_one_exists(g):
-    # production reaches this scan only from is_perfectly_divisible_exact
-    a = _division_scan(g.vertex_mask, _omega_table(g), _imperfect_table(g))
-    assert (a is not None) == bruteforce.has_division(g)
-    assert a == _largest_division_side(g)
-    if a is not None:
-        _revalidate(g, _certify(g, a, g.vertex_mask & ~a, "exhaustive"))
-
-
-def test_division_scan_passes_perfect_sides_without_a_drop():
-    # two C5s joined by the edge 0-5: the largest perfect side, V - {0, 5},
-    # leaves that edge and so omega = 2; the scan must go further down
-    two_c5 = Graph.cycle(5).disjoint_union(Graph.cycle(5))
-    g = Graph.from_edges(10, list(two_c5.edges()) + [(0, 5)])
-    a = _division_scan(g.vertex_mask, _omega_table(g), _imperfect_table(g))
-    assert sorted(bits(a)) == [0, 2, 3, 4, 6, 7, 8, 9] and a == _largest_division_side(g)
-    _revalidate(g, _certify(g, a, g.vertex_mask & ~a, "exhaustive"))
 
 
 def test_exhaustive_search_meets_each_clique_left_at_its_first_vertex():
@@ -327,17 +296,15 @@ def test_exact_divisibility_refutes_triangle_free_chi4():
     assert not bruteforce.is_perfectly_divisible(MYCIELSKI_C5)
 
 
-def test_clebsch_goldens_at_the_table_cap(monkeypatch):
+def test_clebsch_goldens_at_the_table_cap():
     g = clebsch()
     assert clique_number(g) == 2 and chromatic_number(g) == 4
     assert not is_perfectly_divisible_exact(g)
     # the complement is 3K1-free, so fork-free, and divisible all the way down
     assert is_perfectly_divisible_exact(g.complement())
     # no pivot, and the exhaustive search proves there is no division
-    # without building the tables that exact divisibility needs
-    built = count_omega_tables(monkeypatch)
     assert divisibility._divide_support(g, g.vertex_mask, (1,) * g.n, 2) is None
-    assert perfect_division(g) is None and built == []
+    assert perfect_division(g) is None
     cert = color_by_division(g)
     assert cert.fallback and cert.palette == 4
     assert [(layer.a, layer.b, layer.strategy) for layer in cert.layers] == [
@@ -360,55 +327,6 @@ def test_imperfect_table_sees_odd_antiholes(g):
     assert [not x for x in _imperfect_table(g)] == bruteforce.perfect_table(g)
 
 
-# K3,3, the complement of P6 and the 3x3 rook's graph L(K3,3)
-PERFECT = [Graph.complete_bipartite(3, 3), Graph.path(6).complement(),
-           Graph.complete_bipartite(3, 3).line_graph()[0]]
-
-
-def count_omega_tables(monkeypatch):
-    built = []
-
-    def counted(g):
-        built.append(g)
-        return _omega_table(g)
-
-    monkeypatch.setattr(divisibility, "_omega_table", counted)
-    return built
-
-
-def test_perfect_graphs_build_no_omega_table(monkeypatch):
-    built = count_omega_tables(monkeypatch)
-    for g in PERFECT:
-        assert is_perfect(g)
-        assert is_perfectly_divisible_exact(g)
-        assert _imperfect_table(g) == bytes(1 << g.n)
-    assert built == []
-    assert is_perfectly_divisible_exact(Graph.cycle(5))
-    assert built == [Graph.cycle(5)]
-
-
-def test_omega_tables_are_built_exactly_for_imperfect_graphs(monkeypatch):
-    hunt = (random_gnp(9, 0.7, seed) for seed in range(1000))
-    hunt = [g for g in hunt if not has_induced(g, "fork")][:100]
-    built = count_omega_tables(monkeypatch)
-    assert all(is_perfectly_divisible_exact(g) for g in hunt)
-    imperfect = [g for g in hunt if not bruteforce.is_perfect(g)]
-    assert built == imperfect and 0 < len(imperfect) < 100
-
-
-@given(graphs(max_n=8))
-def test_omega_table_matches_brute_force(g):
-    assert _omega_table(g) == bruteforce.omega_table(g)
-
-
-def test_omega_table_golden_cases():
-    assert _omega_table(Graph.empty(0)) == [0]
-    assert _omega_table(Graph.complete(3)) == [0, 1, 1, 2, 1, 2, 2, 3]
-    assert _omega_table(Graph.path(3)) == [0, 1, 1, 2, 1, 1, 2, 2]
-    table = _omega_table(petersen())
-    assert len(table) == 1 << 10 and max(table) == 2 and table[(1 << 10) - 1] == 2
-
-
 @settings(max_examples=60)
 @given(graphs())
 def test_imperfect_table_matches_chi_equals_omega(g):
@@ -418,6 +336,63 @@ def test_imperfect_table_matches_chi_equals_omega(g):
 @given(graphs())
 def test_exact_divisibility_matches_brute_force(g):
     assert is_perfectly_divisible_exact(g) == bruteforce.is_perfectly_divisible(g)
+
+
+def test_exact_divisibility_matches_brute_force_on_every_graph_up_to_7(monkeypatch):
+    # every imperfect induced subgraph here has a pivot, so the exhaustive
+    # search is never started
+    starts = count_top_level_transversals(monkeypatch)
+    for g in graphs_up_to(7):
+        assert is_perfectly_divisible_exact(g) == bruteforce.is_perfectly_divisible(g), g
+    assert starts == []
+
+
+def count_top_level_transversals(monkeypatch):
+    """The masks on which _transversal starts a search with nothing chosen;
+    its own recursion passes a nonempty s and is not counted."""
+    real, starts = divisibility._transversal, []
+
+    def counted(g, u_mask, w, top, s, banned):
+        if not s:
+            starts.append(u_mask)
+        return real(g, u_mask, w, top, s, banned)
+
+    monkeypatch.setattr(divisibility, "_transversal", counted)
+    return starts
+
+
+@pytest.mark.parametrize(
+    "graph6, divisible, searches",
+    [
+        ("Ihc?GC@@G", True, 1),
+        ("Jhc?GC@@G??", True, 2),
+        ("Nhc?GC@@G??@?@??_@G", True, 94),
+        ("JhdLA_gc?N_", False, 1),
+    ],
+    ids=["2C5", "2C5+K1", "3C5", "groetzsch"],
+)
+def test_exact_divisibility_falls_back_to_the_exhaustive_search(monkeypatch, graph6, divisible,
+                                                                 searches):
+    # no graph on at most 9 vertices reaches the search.  An induced
+    # subgraph holding two disjoint C5s has no pivot, as each vertex misses
+    # a whole C5: 3C5 has 94 such submasks.  The Groetzsch graph has no pivot
+    # and no division
+    g = formats.parse_graph6(graph6)
+    starts = count_top_level_transversals(monkeypatch)
+    assert is_perfectly_divisible_exact(g) is divisible
+    assert len(starts) == searches
+    if g.n <= 11:
+        assert bruteforce.is_perfectly_divisible(g) is divisible
+
+
+def test_exact_divisibility_of_two_joined_odd_holes_takes_only_pivots(monkeypatch):
+    # two C5s joined by the edge 0-5: every imperfect submask holds a whole
+    # C5, and a vertex of it (0 or 5 when it holds both) misses no whole C5
+    two_c5 = Graph.cycle(5).disjoint_union(Graph.cycle(5))
+    g = Graph.from_edges(10, list(two_c5.edges()) + [(0, 5)])
+    starts = count_top_level_transversals(monkeypatch)
+    assert is_perfectly_divisible_exact(g) and bruteforce.is_perfectly_divisible(g)
+    assert starts == []
 
 
 @given(graphs(max_n=6))
