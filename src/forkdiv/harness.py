@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import islice
 
 from . import formats
@@ -19,9 +19,9 @@ from .decomposition import _pair_closures
 from .divisibility import is_perfectly_divisible_exact, line_graph_division, color_by_division
 from .graph import MAX_VERTICES, Graph, _are_twins, _label, bits
 from .limits import ENUMERATION_CAP, CapacityError, InvariantError
-from .oracles import _exact_coloring, _first_odd_hole, is_perfect_induced
-from .patterns import (_BINOMIAL, _SQUARE, CLASS_BOUNDS, _claw_triple, _iter_induced,
-                       find_induced, pattern)
+from .oracles import _exact_coloring, _first_odd_hole, _max_clique_size, is_perfect_induced
+from .patterns import (_BINOMIAL, _SQUARE, CATALOG, CLASS_BOUNDS, _claw_triple, _iter_induced,
+                       claw_center, find_induced, pattern)
 
 
 def enumerate_nonisomorphic(n: int) -> list[Graph]:
@@ -88,11 +88,12 @@ def _sweep(n: int):
         last = {_degree_multiset(adj): i for i, (adj, _) in enumerate(parents)}
         seen, level = set(), []
         for i, (adj, automorphisms) in enumerate(parents):
+            dropped = _deletion_test(adj, last, i)
             for nb in _least_under_generators(adj, automorphisms):
+                if dropped(nb):
+                    continue
                 rows = [row | top if nb >> v & 1 else row for v, row in enumerate(adj)]
                 rows.append(nb)
-                if any(last[ms] < i for ms in _deletion_multisets(rows)):
-                    continue
                 key, found = _label(rows)
                 if key not in seen:
                     seen.add(key)
@@ -109,23 +110,49 @@ def _degree_multiset(rows) -> int:
     return sum(1 << 4 * row.bit_count() for row in rows)
 
 
-def _deletion_multisets(rows):
-    """Yields, for each vertex u but the last, _degree_multiset of the rows
-    with u deleted: the whole multiset less u's term, with each neighbour
-    of u moved down one degree."""
-    terms = [1 << 4 * row.bit_count() for row in rows]
+def _deletion_test(adj, last, i):
+    """The sweep's deletion test for parent i with rows adj, built once per
+    parent: the returned function tells whether the child over the
+    neighbourhood nb has an old vertex u whose deletion leaves a degree
+    multiset (_degree_multiset) that last maps to a parent before i.
+
+    C - u's multiset is C's less u's term, with each neighbour of u moved
+    down one degree.  In C a vertex w of nb has one degree more than in adj,
+    so its term is 16 terms[w] = terms[w] + 15 terms[w], and moving it down
+    takes off 15 terms[w] rather than down[w]; the new vertex has the term
+    t = 1 << 4|nb| and is a neighbour of u exactly when u lies in nb.  So C's
+    multiset is whole + up[nb] + t, and u's old neighbours take off off[u] +
+    shift[adj[u] & nb]: one lookup per u, and no child rows."""
+    terms = [1 << 4 * row.bit_count() for row in adj]
     whole = sum(terms)
-    # drop[w]: what moving a neighbour w down one degree takes off (a
-    # vertex of degree 0 is no one's neighbour)
-    drop = [t - (t >> 4) for t in terms]
-    for u in range(len(rows) - 1):
-        ms = whole - terms[u]
-        row = rows[u]
-        while row:
-            low = row & -row
-            ms -= drop[low.bit_length() - 1]
-            row ^= low
-        yield ms
+    # down[w]: what moving a neighbour w down one degree takes off (a vertex
+    # of degree 0 is no one's neighbour)
+    down = [t - (t >> 4) for t in terms]
+    up, shift = [0], [0]  # subset sums over the vertex set s, one add per entry
+    for t, d in zip(terms, down):
+        up += [x + 15 * t for x in up]
+        shift += [x + 15 * t - d for x in shift]
+    # per u: its row and bit, then what deleting it takes off besides shift,
+    # when u is outside nb and when it is in nb (a degree up, term shifted)
+    table = []
+    for u, (row, t) in enumerate(zip(adj, terms)):
+        off = sum(down[w] for w in bits(row))
+        table.append((row, 1 << u, t + off, (t << 4) + off))
+
+    def dropped(nb):
+        t = 1 << 4 * nb.bit_count()
+        child = whole + up[nb] + t
+        inside = child - t + (t >> 4)  # u in nb also moves the new vertex down
+        for row, bit, out_off, in_off in table:
+            if nb & bit:
+                ms = inside - in_off - shift[row & nb]
+            else:
+                ms = child - out_off - shift[row & nb]
+            if last[ms] < i:
+                return True
+        return False
+
+    return dropped
 
 
 def _least_under_generators(adj, gens) -> list[int] | range:
@@ -175,7 +202,31 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
 
 @lru_cache(maxsize=None)
 def _free(g: Graph, name: str) -> bool:
+    """Whether g has no induced pattern name.  The claw scan answers "claw",
+    a claw-free g is free of every pattern that holds a claw (the fork is a
+    claw with one edge subdivided), and K_k is absent exactly when omega < k;
+    only the other questions search."""
+    if name == "claw":
+        return claw_center(g) is None
+    holders, cliques = _pattern_facts()
+    if name in holders and _free(g, "claw"):
+        return True
+    if name in cliques:
+        return _max_clique_size(g.adj, g.vertex_mask) < cliques[name]
     return find_induced(g, pattern(name), name) is None
+
+
+@cache
+def _pattern_facts() -> tuple[frozenset[str], dict[str, int]]:
+    """The catalog names whose pattern holds an induced claw, found by the
+    mask search so that find_induced sees host searches only, and k for each
+    complete pattern K_k; read off the catalog once, on first use."""
+    claw = pattern("claw")
+    holders = frozenset(name for name, pat in CATALOG.items()
+                        if next(_iter_induced(pat.adj, pat.vertex_mask, claw), None) is not None)
+    cliques = {name: pat.n for name, pat in CATALOG.items()
+               if pat.edge_count == pat.n * (pat.n - 1) // 2}
+    return holders, cliques
 
 
 @lru_cache(maxsize=None)

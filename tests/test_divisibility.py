@@ -296,6 +296,25 @@ def test_exact_divisibility_refutes_triangle_free_chi4():
     assert not bruteforce.is_perfectly_divisible(MYCIELSKI_C5)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_divisibility_refutes_the_groetzsch_graph_plus_a_vertex(seed):
+    # a graph holding the Groetzsch graph as an induced subgraph is not
+    # perfectly divisible, whatever the new vertex's seeded neighbourhood
+    nb = random.Random(seed).getrandbits(MYCIELSKI_C5.n)
+    g = Graph.from_edges(12, list(MYCIELSKI_C5.edges()) + [(v, 11) for v in bits(nb)])
+    assert is_perfectly_divisible_exact(g) is False
+    assert bruteforce.is_perfectly_divisible(g) is False
+
+
+@pytest.mark.parametrize("u", range(11))
+def test_exact_divisibility_of_the_groetzsch_graph_less_a_vertex(u):
+    # the Groetzsch graph is a minimal refutation: each vertex-deleted
+    # subgraph is perfectly divisible, by both routes
+    g, _ = MYCIELSKI_C5.induced(MYCIELSKI_C5.vertex_mask & ~(1 << u))
+    assert is_perfectly_divisible_exact(g) is True
+    assert bruteforce.is_perfectly_divisible(g) is True
+
+
 def test_clebsch_goldens_at_the_table_cap():
     g = clebsch()
     assert clique_number(g) == 2 and chromatic_number(g) == 4

@@ -25,7 +25,7 @@ from forkdiv.harness import (
 )
 from forkdiv.limits import CapacityError, InvariantError
 from forkdiv.oracles import max_weight_clique
-from forkdiv.patterns import _SQUARE, CLASS_BOUNDS, claw_center, find_induced, pattern
+from forkdiv.patterns import _SQUARE, CATALOG, CLASS_BOUNDS, claw_center, find_induced, pattern
 from strategies import graphs, imperfect_graphs
 
 
@@ -148,11 +148,21 @@ def test_enumeration_labels_only_unpruned_candidates(monkeypatch):
 
 def _swept_candidates(monkeypatch, n):
     """Runs the sweep to level n and returns its levels, every candidate's
-    rows (as a tuple, in sweep order) and the set of those it labelled."""
+    rows (as a tuple, in sweep order: each nb the deletion test is asked
+    about) and the set of those it labelled."""
     candidates, labelled = [], set()
-    multisets, label = harness._deletion_multisets, harness._label
-    monkeypatch.setattr(harness, "_deletion_multisets",
-                        lambda rows: candidates.append(tuple(rows)) or multisets(rows))
+    deletion_test, label = harness._deletion_test, harness._label
+
+    def watched_test(adj, last, i):
+        dropped, top = deletion_test(adj, last, i), 1 << len(adj)
+
+        def watched(nb):
+            rows = tuple(row | top if nb >> v & 1 else row for v, row in enumerate(adj))
+            candidates.append(rows + (nb,))
+            return dropped(nb)
+        return watched
+
+    monkeypatch.setattr(harness, "_deletion_test", watched_test)
     monkeypatch.setattr(harness, "_label", lambda rows: labelled.add(tuple(rows)) or label(rows))
     levels = [[] for _ in range(n + 1)]
     for g in harness._sweep(n):
@@ -181,10 +191,23 @@ def test_rejection_drops_only_children_kept_from_an_earlier_parent(monkeypatch):
     assert len(candidates) - len(dropped) == len(labelled)
 
 
+class _Lookups:
+    """A stand-in for the sweep's last map: records every multiset looked
+    up and answers index, so the test drops at the first lookup when index
+    is -1 and never when it is 0."""
+
+    def __init__(self, index):
+        self.index, self.seen = index, []
+
+    def __getitem__(self, ms):
+        self.seen.append(ms)
+        return self.index
+
+
 def test_deletion_multisets_match_a_degree_recount(monkeypatch):
-    # on every level-7 candidate, the multiset the sweep computes for each
-    # old vertex u against the degrees of the rows with u removed, recounted
-    # here pair by pair with a 4-bit count per degree value
+    # on every level-7 candidate, the multiset the per-parent test computes
+    # for each old vertex u against the degrees of the rows with u removed,
+    # recounted here pair by pair with a 4-bit count per degree value
     _, candidates, _ = _swept_candidates(monkeypatch, 7)
     level7 = [rows for rows in candidates if len(rows) == 7]
     assert len(level7) == 5096
@@ -194,7 +217,12 @@ def test_deletion_multisets_match_a_degree_recount(monkeypatch):
             rest = [v for v in range(7) if v != u]
             degrees = [sum(rows[v] >> w & 1 for w in rest) for v in rest]
             want.append(sum(degrees.count(d) << 4 * d for d in set(degrees)))
-        assert list(harness._deletion_multisets(list(rows))) == want
+        adj, nb = [row & ~(1 << 6) for row in rows[:-1]], rows[-1]
+        kept, early = _Lookups(0), _Lookups(-1)
+        assert not harness._deletion_test(adj, kept, 0)(nb)
+        assert kept.seen == want
+        assert harness._deletion_test(adj, early, 0)(nb)
+        assert early.seen == want[:1]  # it stops at the first earlier parent
 
 
 def test_graphs_up_to_is_cumulative():
@@ -432,17 +460,51 @@ def _memo_sizes():
     return [memo.cache_info().currsize for memo in memos]
 
 
+def test_pattern_facts_are_read_off_the_catalog():
+    # by brute-force containment: the claw-holding patterns, and K_k for
+    # each pattern whose omega is its vertex count
+    claw = pattern("claw")
+    want = {name for name, pat in CATALOG.items() if bruteforce.has_induced(pat, claw)}
+    assert want == {"claw", "fork", "dart", "banner", "K2,3"}
+    cliques = {name: pat.n for name, pat in CATALOG.items() if bruteforce.omega(pat) == pat.n}
+    assert cliques == {"K1": 1, "K2": 2, "K3": 3, "K4": 4, "K5": 5}
+    assert harness._pattern_facts() == (want, cliques)
+
+
+def test_pattern_shortcuts_never_change_an_answer():
+    # the claw scan, the claw-holding patterns and omega settle some
+    # questions without a search; each answer, asked from an empty memo,
+    # must be brute force's on every graph with n <= 6 and a seeded G(8, p)
+    # sample.  Brute force reads containment off the canonical forms of the
+    # host's induced subgraphs with as many vertices as a pattern can have
+    keys = {name: bruteforce.canonical(pat) for name, pat in CATALOG.items()}
+    most = max(pat.n for pat in CATALOG.values())
+    corpus = graphs_up_to(6) + [random_gnp(8, 0.2 + 0.05 * seed, seed) for seed in range(12)]
+    try:
+        for g in corpus:
+            held = {bruteforce.canonical(g.induced(m)[0])
+                    for m in range(1 << g.n) if m.bit_count() <= most}
+            for name in CATALOG:
+                harness._free.cache_clear()
+                assert harness._free(g, name) == (keys[name] not in held), (emit_graph6(g), name)
+    finally:
+        harness._free.cache_clear()
+
+
 def test_verify_searches_patterns_only_when_an_outcome_depends_on_them(monkeypatch):
-    # a deterministic guard: the whole run makes 6,316 searches, where
-    # deciding every chi-audit class up front made 12,312 and testing T2's
-    # P3+K1 on graphs that are not fork-free made 457 more
-    assert len(_count_searches(monkeypatch)) == 6316
-    # alone, the chi-audit searches only graphs with chi >= 4, which exceed
-    # K3's constant bound and no other: fork, then K3 when fork-free
+    # a deterministic guard: the whole run makes 4,374 searches, where
+    # searching for the claw and the patterns that hold one on claw-free
+    # graphs, and for K3, made 6,316, deciding every chi-audit class up
+    # front 12,312, and testing T2's P3+K1 on graphs that are not fork-free
+    # 457 more
+    assert len(_count_searches(monkeypatch)) == 4374
+    # alone, the chi-audit asks only about graphs with chi >= 4, which exceed
+    # K3's constant bound and no other: fork, then K3 when fork-free.  The
+    # claw scan settles the fork on claw-free graphs and omega settles K3,
+    # so only the fork is searched, on graphs with a claw (420 asked)
     calls = _count_searches(monkeypatch, ["chi-audit"])
-    assert [name for _, _, name in calls].count("fork") == 420
-    assert len(calls) == 771
-    assert {name for _, _, name in calls} == {"fork", "K3"}
+    assert len(calls) == 205
+    assert {name for _, _, name in calls} == {"fork"}
 
 
 def test_blocks_give_the_reports_of_each_check_run_alone(monkeypatch):
