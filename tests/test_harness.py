@@ -457,7 +457,7 @@ def _count_searches(monkeypatch, check_ids=None, n=7):
 
 def _memo_sizes():
     memos = (harness._free, harness._homogeneous, harness._pd_exact)
-    return [memo.cache_info().currsize for memo in memos]
+    return [memo.cache_info().currsize for memo in memos] + [len(harness._CENSUS)]
 
 
 def test_pattern_facts_are_read_off_the_catalog():
@@ -491,13 +491,70 @@ def test_pattern_shortcuts_never_change_an_answer():
         harness._free.cache_clear()
 
 
+FIVE = [name for name, pat in CATALOG.items() if pat.n == 5]
+
+
+def test_each_orbit_holds_a_code_per_labelling_up_to_automorphism():
+    # 120 labellings, of which |Aut(P)| give each code
+    for name in FIVE:
+        autos = bruteforce.automorphisms(CATALOG[name])
+        assert len(harness._orbit(name)) == 120 // len(autos), name
+
+
+def test_census_agrees_with_brute_force_containment():
+    # on every graph with n <= 7, brute force asks has_induced of each
+    # five-vertex induced subgraph, memoised by its labelled edges (at most
+    # 1,024 of them); on seeded G(8, p) and G(9, p) it asks of the host
+    subgraphs = {}
+
+    def held(g, name):
+        for sub in combinations(range(g.n), 5):
+            key = tuple(g.has_edge(u, v) for u, v in combinations(sub, 2))
+            if key not in subgraphs:
+                h = Graph.from_edges(5, [uv for uv, e in zip(combinations(range(5), 2), key) if e])
+                subgraphs[key] = {p: bruteforce.has_induced(h, CATALOG[p]) for p in FIVE}
+            if subgraphs[key][name]:
+                return True
+        return False
+
+    for g in graphs_up_to(7):
+        census = harness._five_codes(g.adj, g.n)
+        for name in FIVE:
+            assert (not census.isdisjoint(harness._orbit(name))) == held(g, name), (emit_graph6(g), name)
+    sample = [random_gnp(n, 0.3 + 0.1 * (seed % 5), seed) for n in (8, 9) for seed in range(6)]
+    for g in sample:
+        census = harness._five_codes(g.adj, g.n)
+        for name in FIVE:
+            want = bruteforce.has_induced(g, CATALOG[name])
+            assert (not census.isdisjoint(harness._orbit(name))) == want, (emit_graph6(g), name)
+
+
+def test_only_a_run_of_several_checks_takes_a_census(monkeypatch):
+    # one census per graph with at most CENSUS_MAX_N vertices when several
+    # checks run; a single check keeps its searches and shortcuts
+    corpus = graphs_up_to(4) + [random_gnp(n, 0.5, n) for n in range(8, 12)]
+    taken = []
+    real = harness._five_codes
+    monkeypatch.setattr(harness, "_five_codes", lambda adj, n: taken.append(n) or real(adj, n))
+    for check in CHECKS.values():
+        run_check(check, corpus, "one check")
+    assert taken == []
+    run_all(corpus, "every check", ["T1", "T10"])
+    assert taken == [g.n for g in corpus if g.n <= harness.CENSUS_MAX_N]
+    assert max(taken) == harness.CENSUS_MAX_N
+    assert _memo_sizes() == [0, 0, 0, 0]
+
+
 def test_verify_searches_patterns_only_when_an_outcome_depends_on_them(monkeypatch):
-    # a deterministic guard: the whole run makes 4,374 searches, where
-    # searching for the claw and the patterns that hold one on claw-free
-    # graphs, and for K3, made 6,316, deciding every chi-audit class up
+    # a deterministic guard: the whole run makes 812 searches, where
+    # answering the five-vertex patterns by search rather than by census
+    # made 4,374, searching for the claw and the patterns that hold one on
+    # claw-free graphs, and for K3, 6,316, deciding every chi-audit class up
     # front 12,312, and testing T2's P3+K1 on graphs that are not fork-free
-    # 457 more
-    assert len(_count_searches(monkeypatch)) == 4374
+    # 457 more.  What is left: P6, P3+K1, and T5's K2,3 witnesses
+    calls = _count_searches(monkeypatch)
+    assert len(calls) == 812
+    assert {name for _, _, name in calls} <= {"P6", "P3+K1", "K2,3"}
     # alone, the chi-audit asks only about graphs with chi >= 4, which exceed
     # K3's constant bound and no other: fork, then K3 when fork-free.  The
     # claw scan settles the fork on claw-free graphs and omega settles K3,
@@ -510,11 +567,13 @@ def test_verify_searches_patterns_only_when_an_outcome_depends_on_them(monkeypat
 def test_blocks_give_the_reports_of_each_check_run_alone(monkeypatch):
     # blocks split the corpus, which is not a whole number of blocks, and
     # every check runs over a block before the next check starts: each
-    # report must still be the one that check gives over the corpus alone
+    # report must still be the one that check gives over the corpus alone.
+    # Graphs on 10 vertices take no census, so both paths are compared
     corpus = graphs_up_to(6) + [random_gnp(7 + seed % 4, 0.5, seed) for seed in range(30)]
     assert len(corpus) % harness.BLOCK
+    assert max(g.n for g in corpus) > harness.CENSUS_MAX_N
     alone = [run_check(check, corpus, "blocks").to_json() for check in CHECKS.values()]
-    sizes = []
+    sizes, censuses = [], []
 
     def watched(check):
         def evaluate(g):
@@ -523,15 +582,18 @@ def test_blocks_give_the_reports_of_each_check_run_alone(monkeypatch):
             finally:
                 sizes.append(max(harness._homogeneous.cache_info().currsize,
                                  harness._pd_exact.cache_info().currsize))
+                censuses.append(len(harness._CENSUS))
         return check._replace(evaluate=evaluate)
 
     for check_id, check in CHECKS.items():
         monkeypatch.setitem(CHECKS, check_id, watched(check))
     for given in (iter(corpus), corpus):
         assert [r.to_json() for r in run_all(given, "blocks")] == alone
-    # a memo holds the facts of several graphs, never of more than a block
+    # a memo or the census holds the facts of several graphs, never of more
+    # than a block
     assert 1 < max(sizes) <= harness.BLOCK
-    assert _memo_sizes() == [0, 0, 0]
+    assert 1 < max(censuses) <= harness.BLOCK
+    assert _memo_sizes() == [0, 0, 0, 0]
     empty = run_all(iter(()), "empty")
     assert [r.check_id for r in empty] == list(CHECKS)
     assert all(r.passed and r.graphs_scanned == r.hypothesis_matches == 0 for r in empty)
@@ -541,7 +603,7 @@ def test_runs_leave_the_memos_empty_and_a_rerun_searches_again(monkeypatch):
     # the memos hold one block of graphs' facts at a time, so nothing
     # outlives a run
     first = _count_searches(monkeypatch, n=6)
-    assert _memo_sizes() == [0, 0, 0]
+    assert _memo_sizes() == [0, 0, 0, 0]
     assert len(_count_searches(monkeypatch, n=6)) == len(first) > 0
 
 
@@ -549,9 +611,9 @@ def test_a_run_starts_with_empty_memos(monkeypatch):
     # a fact memoised outside a run must not stand in for a search inside it
     fresh = _count_searches(monkeypatch, n=1)
     CHECKS["T10"].evaluate(Graph.empty(1))
-    assert _memo_sizes() != [0, 0, 0]
+    assert _memo_sizes() != [0, 0, 0, 0]
     assert len(_count_searches(monkeypatch, n=1)) == len(fresh) > 0
-    assert _memo_sizes() == [0, 0, 0]
+    assert _memo_sizes() == [0, 0, 0, 0]
 
 
 def test_a_run_that_raises_still_empties_the_memos(monkeypatch):
@@ -561,7 +623,7 @@ def test_a_run_that_raises_still_empties_the_memos(monkeypatch):
     monkeypatch.setattr(harness, "color_by_division", broken)
     with pytest.raises(RuntimeError, match="re-check"):
         run_all(graphs_up_to(4), "tiny")
-    assert _memo_sizes() == [0, 0, 0]
+    assert _memo_sizes() == [0, 0, 0, 0]
 
 
 def test_a_failed_certificate_in_any_check_is_a_row(monkeypatch):
@@ -582,7 +644,7 @@ def test_a_failed_certificate_in_any_check_is_a_row(monkeypatch):
     assert audit.counterexamples == [{"graph6": emit_graph6(k4), "detail": detail}]
     assert audit.graphs_scanned == audit.hypothesis_matches == len(corpus)
     assert all(r.passed for r in reports if r.check_id != "chi-audit")
-    assert _memo_sizes() == [0, 0, 0]
+    assert _memo_sizes() == [0, 0, 0, 0]
 
 
 def test_oracles_and_labelling_leave_no_reference_cycles():
@@ -684,8 +746,10 @@ def _k23_witness(g, pat, name):
          ("direct", "contrapositive"), {"perfectly_divisible": False, "homogeneous_set": None}),
         ("T2", Graph.path(3), {"_free": True, "_pd_exact": False}, (),
          {"perfectly_divisible": False}),
+        # granted banner-free and no homogeneous set, with K2,3 present
         ("T5", Graph.complete_bipartite(2, 3),
-         {"_free": True, "_homogeneous": None, "find_induced": _k23_witness}, (),
+         {"_free": lambda g, name: name != "K2,3", "_homogeneous": None,
+          "find_induced": _k23_witness}, (),
          {"k23_witness": [4, 0, 1, 2, 3]}),
         # no vertex of the Grötzsch graph has a perfect non-neighbourhood
         ("T6", parse_graph6("JhdLA_gc?N_"), {"_free": lambda g, name: name != "claw",
